@@ -45,31 +45,28 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
     ctr_loopback_bytes_ = &stats.counter("loopback.bytes");
     declare_netlist(kernel);
     // Occupancy probes on the abstract (non-sim::Fifo) queues, so the
-    // health layer's backlog census and metrics gauges can read committed
-    // occupancy on demand without a TelemetrySink attached. Same names as
-    // report_occupancies() emits.
+    // health layer's backlog census, the metrics gauges and the telemetry
+    // sink can read committed occupancy on demand.
     for (unsigned s = 0; s < kSourceCount; ++s) {
-        kernel.register_occupancy_probe(
-            source_net(s), 0, this,
-            [this, s] { return sources_[s].queue.size(); });
+        kernel.register_occupancy_probe(source_net_[s], 0, this,
+                                        [this, s] { return sources_[s].queue.size(); });
     }
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
         for (unsigned s = 0; s < kSourceCount; ++s) {
-            kernel.register_occupancy_probe(
-                voq_net(uint8_t(r), s), config_.voq_depth, this,
-                [this, r, s] { return voqs_[r * kSourceCount + s].size(); });
+            const unsigned q = r * kSourceCount + s;
+            kernel.register_occupancy_probe(voq_net_[q], config_.voq_depth, this,
+                                            [this, q] { return voqs_[q].size(); });
         }
         kernel.register_occupancy_probe(
-            "fabric.egress.r" + std::to_string(r), config_.egress_queue_depth,
-            this, [this, r] { return egress_queues_[r].size(); });
+            egress_net_[r], config_.egress_queue_depth, this,
+            [this, r] { return egress_queues_[r].size(); });
     }
     for (unsigned p = 0; p < 2; ++p) {
         kernel.register_occupancy_probe(
-            "fabric.mac_tx.p" + std::to_string(p), 0, this,
-            [this, p] { return mac_tx_[p].fifo.size(); });
+            mac_tx_net_[p], 0, this, [this, p] { return mac_tx_[p].fifo.size(); });
     }
     kernel.register_occupancy_probe(
-        "fabric.host_out", config_.pcie_tags, this,
+        host_out_net_, config_.pcie_tags, this,
         [this] { return size_t(pcie_tags_in_use_); });
 }
 
@@ -87,12 +84,14 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // (the sink never returns credit), so no feedback edge exists at all.
     for (unsigned p = 0; p < 2; ++p) {
         std::string rx = "fabric.mac_rx.p" + std::to_string(p);
-        kernel.declare_net({rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
-                            sim::kNetExternalSource, NetRecord::kCreditRegistered});
+        source_net_[p] = kernel.declare_net(
+            {rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
+             sim::kNetExternalSource, NetRecord::kCreditRegistered});
         kernel.declare_port({name(), rx, PortRecord::kRead, kSw, 0});
         std::string tx = "fabric.mac_tx.p" + std::to_string(p);
-        kernel.declare_net({tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
-                            sim::kNetExternalSink, NetRecord::kCreditNone});
+        mac_tx_net_[p] = kernel.declare_net(
+            {tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
+             sim::kNetExternalSink, NetRecord::kCreditNone});
         kernel.declare_port({name(), tx, PortRecord::kWrite, kSw,
                              config_.mac_tx_fifo_bytes / 64});
     }
@@ -101,14 +100,16 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // host_q shares the registered ingress admission; host_out is drained
     // by the PCIe DMA engine inside our own tick (tag credit is fabric-
     // internal accounting, not a reader-side return).
-    kernel.declare_net({"fabric.host_q", NetRecord::kFifo, kSw, config_.host_queue_packets,
-                        sim::kNetExternalSource, NetRecord::kCreditRegistered});
+    source_net_[kSrcHost] = kernel.declare_net(
+        {"fabric.host_q", NetRecord::kFifo, kSw, config_.host_queue_packets,
+         sim::kNetExternalSource, NetRecord::kCreditRegistered});
     kernel.declare_port({name(), "fabric.host_q", PortRecord::kRead, kSw, 0});
-    kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw, config_.pcie_tags,
-                        sim::kNetExternalSink, NetRecord::kCreditNone});
+    host_out_net_ = kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw,
+                                        config_.pcie_tags, sim::kNetExternalSink,
+                                        NetRecord::kCreditNone});
     kernel.declare_port(
         {name(), "fabric.host_out", PortRecord::kWrite, kSw, config_.pcie_tags});
-    kernel.declare_net(
+    source_net_[kSrcLoopback] = kernel.declare_net(
         {"fabric.loopback_q", NetRecord::kFifo, kSw, config_.loopback_queue_packets, 0});
     kernel.declare_port({name(), "fabric.loopback_q", PortRecord::kWrite, kSw,
                          config_.loopback_queue_packets});
@@ -119,7 +120,8 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         // Per-(RPU, source) virtual output queues inside the RX switches.
         for (unsigned s = 0; s < kSourceCount; ++s) {
             std::string v = "fabric.voq.r" + rn + ".s" + std::to_string(s);
-            kernel.declare_net({v, NetRecord::kFifo, kSw, config_.voq_depth, 0});
+            voq_net_.push_back(
+                kernel.declare_net({v, NetRecord::kFifo, kSw, config_.voq_depth, 0}));
             kernel.declare_port({name(), v, PortRecord::kWrite, kSw, config_.voq_depth});
             kernel.declare_port({name(), v, PortRecord::kRead, kSw, 0});
         }
@@ -127,8 +129,9 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         // Admission checks committed+staged occupancy (never same-cycle
         // pops), so the RPU-facing credit return is registered.
         std::string e = "fabric.egress.r" + rn;
-        kernel.declare_net({e, NetRecord::kFifo, 128, config_.egress_queue_depth, 0,
-                            NetRecord::kCreditRegistered});
+        egress_net_.push_back(kernel.declare_net({e, NetRecord::kFifo, 128,
+                                                  config_.egress_queue_depth, 0,
+                                                  NetRecord::kCreditRegistered}));
         kernel.declare_port(
             {rpus_[r]->name(), e, PortRecord::kWrite, 128, config_.egress_queue_depth});
         kernel.declare_port({name(), e, PortRecord::kRead, 128, 0});
@@ -172,14 +175,12 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         if (occupied + p->size() > config_.mac_rx_fifo_bytes) {
             ctr_rx_drops_[port]->add();
             trace("mac_rx_fifo_drop", *p);
-            if (kernel().telemetry())
-                tel(source_net(port), sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(source_net_[port], sim::TelemetrySink::NetEvent::kPushBlocked);
             all_ok = false;
             continue;
         }
         trace("mac_rx", *p);
-        if (kernel().telemetry())
-            tel(source_net(port), sim::TelemetrySink::NetEvent::kPushOk);
+        tel(source_net_[port], sim::TelemetrySink::NetEvent::kPushOk);
         admitted = true;
         if (in_tick) {
             src.staged_bytes += p->size();
@@ -205,10 +206,10 @@ Fabric::host_inject(net::PacketPtr pkt) {
     if (!in_tick) flush_skipped();
     size_t occupied = in_tick ? src.admit_count + src.staged.size() : src.queue.size();
     if (occupied >= config_.host_queue_packets) {
-        tel("fabric.host_q", sim::TelemetrySink::NetEvent::kPushBlocked);
+        tel(source_net_[kSrcHost], sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    tel("fabric.host_q", sim::TelemetrySink::NetEvent::kPushOk);
+    tel(source_net_[kSrcHost], sim::TelemetrySink::NetEvent::kPushOk);
     pkt->in_iface = net::Iface::kHost;
     if (in_tick) {
         src.staged_bytes += pkt->size();
@@ -227,11 +228,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
 
 bool
 Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
-    // Name construction only when a sink is attached (tel() re-checks, but
-    // the string argument would otherwise be built on every packet).
-    const std::string enet = kernel().telemetry()
-                                 ? "fabric.egress.r" + std::to_string(rpu)
-                                 : std::string();
+    const sim::NetId enet = egress_net_[rpu];
     if (!kernel().in_tick()) flush_skipped();
     if (kernel().in_tick()) {
         if (egress_committed_[rpu] + egress_staged_[rpu].size() >= config_.egress_queue_depth) {
@@ -295,7 +292,6 @@ Fabric::commit() {
     // both integration loops below are identity refreshes and are skipped.
     if (!commit_dirty_.load(std::memory_order_relaxed) &&
         !kernel().commit_compat()) {
-        if (kernel().telemetry()) report_occupancies();
         return;
     }
     commit_dirty_.store(false, std::memory_order_relaxed);
@@ -324,27 +320,6 @@ Fabric::commit() {
         }
         egress_committed_[r] = egress_queues_[r].size();
     }
-    if (kernel().telemetry()) report_occupancies();
-}
-
-void
-Fabric::report_occupancies() const {
-    sim::TelemetrySink* t = kernel().telemetry();
-    for (unsigned s = 0; s < kSourceCount; ++s) {
-        t->net_occupancy(source_net(s), sources_[s].queue.size(), 0);
-    }
-    for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        for (unsigned s = 0; s < kSourceCount; ++s) {
-            t->net_occupancy(voq_net(uint8_t(r), s),
-                             voqs_[r * kSourceCount + s].size(), config_.voq_depth);
-        }
-        t->net_occupancy("fabric.egress.r" + std::to_string(r),
-                         egress_queues_[r].size(), config_.egress_queue_depth);
-    }
-    for (unsigned p = 0; p < 2; ++p) {
-        t->net_occupancy("fabric.mac_tx.p" + std::to_string(p), mac_tx_[p].fifo.size(), 0);
-    }
-    t->net_occupancy("fabric.host_out", pcie_tags_in_use_, config_.pcie_tags);
 }
 
 void
@@ -439,6 +414,7 @@ Fabric::tick() {
            pcie_credit_ >= double(host_out_.front().pkt->size())) {
         pcie_credit_ -= double(host_out_.front().pkt->size());
         --pcie_tags_in_use_;
+        tel(host_out_net_, sim::TelemetrySink::NetEvent::kOccupancy);
         trace("host_deliver", *host_out_.front().pkt);
         if (host_sink_) host_sink_(host_out_.front().pkt);
         ctr_host_rx_frames_->add();
@@ -457,18 +433,15 @@ Fabric::tick_ingress_source(unsigned s) {
     if (src.stalled) {
         auto& q = voq(src.stalled->dest_rpu, s);
         if (q.size() < config_.voq_depth) {
-            if (kernel().telemetry())
-                tel(voq_net(src.stalled->dest_rpu, s),
-                    sim::TelemetrySink::NetEvent::kPushOk);
+            tel(voq_net(src.stalled->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushOk);
             q.push_back({src.stalled, now() + config_.ingress_pipe_cycles});
             ++voq_pkts_;
             ++voq_pkts_rpu_[src.stalled->dest_rpu];
             src.stalled.reset();
         } else {
             ctr_voq_stall_->add();
-            if (kernel().telemetry())
-                tel(voq_net(src.stalled->dest_rpu, s),
-                    sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(voq_net(src.stalled->dest_rpu, s),
+                sim::TelemetrySink::NetEvent::kPushBlocked);
         }
     }
 
@@ -492,8 +465,7 @@ Fabric::tick_ingress_source(unsigned s) {
     src.queue.pop_front();
     src.queue_bytes -= head->size();
     commit_dirty_.store(true, std::memory_order_relaxed);
-    if (kernel().telemetry())
-        tel(source_net(s), sim::TelemetrySink::NetEvent::kPop);
+    tel(source_net_[s], sim::TelemetrySink::NetEvent::kPop);
     src.active = head;
     uint32_t bytes = head->size() + (head->hash_prepended ? 4 : 0);
     src.cycles_left = div_ceil(bytes, config_.stage1_bytes_per_cycle);
@@ -503,14 +475,12 @@ Fabric::tick_ingress_source(unsigned s) {
     // visible to the per-RPU link after the fixed distribution pipe.
     auto& q = voq(head->dest_rpu, s);
     if (q.size() < config_.voq_depth) {
-        if (kernel().telemetry())
-            tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushOk);
+        tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushOk);
         q.push_back({head, now() + config_.ingress_pipe_cycles});
         ++voq_pkts_;
         ++voq_pkts_rpu_[head->dest_rpu];
     } else {
-        if (kernel().telemetry())
-            tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushBlocked);
+        tel(voq_net(head->dest_rpu, s), sim::TelemetrySink::NetEvent::kPushBlocked);
         src.stalled = head;
     }
 }
@@ -528,10 +498,8 @@ Fabric::tick_rpu_links() {
             auto& q = voq(uint8_t(r), s);
             if (q.empty() || q.front().ready > now()) continue;
             trace("rpu_link_dispatch", *q.front().pkt);
-            if (kernel().telemetry()) {
-                tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
-                tel(rpu->name() + ".link_in", sim::TelemetrySink::NetEvent::kPushOk);
-            }
+            tel(voq_net(uint8_t(r), s), sim::TelemetrySink::NetEvent::kPop);
+            tel(rpu->link_in_net(), sim::TelemetrySink::NetEvent::kPushOk);
             rpu->begin_rx(q.front().pkt);
             q.pop_front();
             --voq_pkts_;
@@ -582,10 +550,7 @@ Fabric::tick_egress() {
             --egress_pkts_;
             --egress_pkts_dest_[d];
             commit_dirty_.store(true, std::memory_order_relaxed);
-            if (kernel().telemetry()) {
-                tel("fabric.egress.r" + std::to_string(r),
-                    sim::TelemetrySink::NetEvent::kPop);
-            }
+            tel(egress_net_[r], sim::TelemetrySink::NetEvent::kPop);
             dest.rr = (r + 1) % config_.rpu_count;
             if (!try_egress_handoff(d, dest.active)) dest.done = dest.active;
             break;
@@ -597,13 +562,11 @@ bool
 Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
     if (d <= 1) {
         MacTx& mac = mac_tx_[d];
-        const std::string mnet =
-            kernel().telemetry() ? "fabric.mac_tx.p" + std::to_string(d) : std::string();
         if (mac.fifo_bytes + p->size() > config_.mac_tx_fifo_bytes) {
-            tel(mnet, sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(mac_tx_net_[d], sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
-        tel(mnet, sim::TelemetrySink::NetEvent::kPushOk);
+        tel(mac_tx_net_[d], sim::TelemetrySink::NetEvent::kPushOk);
         mac.fifo_bytes += p->size();
         mac.fifo.push_back({p, now() + config_.egress_pipe_cycles});
         return true;
@@ -612,10 +575,10 @@ Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
         // DMA-tag admission: each in-flight host transfer holds a tag.
         if (pcie_tags_in_use_ >= config_.pcie_tags) {
             ctr_host_tag_stall_->add();
-            tel("fabric.host_out", sim::TelemetrySink::NetEvent::kPushBlocked);
+            tel(host_out_net_, sim::TelemetrySink::NetEvent::kPushBlocked);
             return false;
         }
-        tel("fabric.host_out", sim::TelemetrySink::NetEvent::kPushOk);
+        tel(host_out_net_, sim::TelemetrySink::NetEvent::kPushOk);
         ++pcie_tags_in_use_;
         host_out_.push_back({p, now() + config_.pcie_latency_cycles});
         return true;
@@ -623,10 +586,10 @@ Fabric::try_egress_handoff(unsigned d, const net::PacketPtr& p) {
     // Loopback: the single 100G channel with a per-packet routing header.
     IngressSource& lp = sources_[kSrcLoopback];
     if (loopback_.active || lp.queue.size() >= config_.loopback_queue_packets) {
-        tel("fabric.loopback_q", sim::TelemetrySink::NetEvent::kPushBlocked);
+        tel(source_net_[kSrcLoopback], sim::TelemetrySink::NetEvent::kPushBlocked);
         return false;
     }
-    tel("fabric.loopback_q", sim::TelemetrySink::NetEvent::kPushOk);
+    tel(source_net_[kSrcLoopback], sim::TelemetrySink::NetEvent::kPushOk);
     loopback_.active = p;
     uint32_t wire = p->size() + config_.loopback_header_bytes;
     uint32_t need = wire > loopback_.line_credit ? wire - loopback_.line_credit : 0;
@@ -647,6 +610,7 @@ Fabric::tick_loopback() {
         IngressSource& lp = sources_[kSrcLoopback];
         lp.queue_bytes += loopback_.active->size();
         lp.queue.push_back(loopback_.active);
+        tel(source_net_[kSrcLoopback], sim::TelemetrySink::NetEvent::kOccupancy);
         commit_dirty_.store(true, std::memory_order_relaxed);
         trace("loopback_reenter", *loopback_.active);
         ctr_loopback_frames_->add();
@@ -681,10 +645,7 @@ Fabric::tick_mac_tx() {
             mac.active = mac.fifo.front().pkt;
             mac.fifo_bytes -= mac.active->size();
             mac.fifo.pop_front();
-            if (kernel().telemetry()) {
-                tel("fabric.mac_tx.p" + std::to_string(port),
-                    sim::TelemetrySink::NetEvent::kPop);
-            }
+            tel(mac_tx_net_[port], sim::TelemetrySink::NetEvent::kPop);
             // Bit-serial line: carry the fractional-cycle remainder so the
             // long-run rate is exactly line_bytes_per_cycle.
             uint32_t wire = mac.active->wire_size();

@@ -195,18 +195,12 @@ class Fabric : public sim::Component {
     }
     // Telemetry taps on the abstract (non-sim::Fifo) links; one pointer
     // compare when no sink is attached.
-    void tel(const std::string& net, sim::TelemetrySink::NetEvent ev) const {
+    void tel(sim::NetId net, sim::TelemetrySink::NetEvent ev) const {
         if (sim::TelemetrySink* t = kernel().telemetry()) t->net_event(net, ev);
     }
-    static std::string voq_net(uint8_t rpu, unsigned source) {
-        return "fabric.voq.r" + std::to_string(rpu) + ".s" + std::to_string(source);
+    sim::NetId voq_net(uint8_t rpu, unsigned source) const {
+        return voq_net_[rpu * kSourceCount + source];
     }
-    static std::string source_net(unsigned s) {
-        if (s == kSrcHost) return "fabric.host_q";
-        if (s == kSrcLoopback) return "fabric.loopback_q";
-        return "fabric.mac_rx.p" + std::to_string(s);
-    }
-    void report_occupancies() const;
     void tick_ingress_source(unsigned s);
     void tick_rpu_links();
     void tick_egress();
@@ -235,6 +229,13 @@ class Fabric : public sim::Component {
     sim::Counter* ctr_host_tag_stall_;
     sim::Counter* ctr_loopback_frames_;
     sim::Counter* ctr_loopback_bytes_;
+
+    // Net ids of the abstract links, resolved at elaboration.
+    sim::NetId source_net_[kSourceCount];
+    std::vector<sim::NetId> voq_net_;     ///< [rpu][source]
+    std::vector<sim::NetId> egress_net_;  ///< per RPU
+    sim::NetId mac_tx_net_[2];
+    sim::NetId host_out_net_;
 
     IngressSource sources_[kSourceCount];
     std::vector<std::deque<TimedPkt>> voqs_;  ///< [rpu][source]

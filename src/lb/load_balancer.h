@@ -145,6 +145,11 @@ class LoadBalancer {
     std::optional<uint8_t> pick_for(const net::PacketPtr& pkt, uint32_t hash);
     bool staging() const { return kernel_ && kernel_->in_tick(); }
     void commit_staged();
+    /// Telemetry tap on the assignment interface.
+    void tel(sim::TelemetrySink::NetEvent ev) const {
+        if (!kernel_) return;
+        if (sim::TelemetrySink* t = kernel_->telemetry()) t->net_event(assign_net_, ev);
+    }
 
     /// Clock-edge adapter registering the LB with the kernel on attach().
     struct CommitAdapter : sim::Clocked {
@@ -156,6 +161,7 @@ class LoadBalancer {
     sim::Stats& stats_;
     Config config_;
     sim::Kernel* kernel_ = nullptr;
+    sim::NetId assign_net_ = sim::kNoNet;
     std::unique_ptr<CommitAdapter> adapter_;
     SlotResponseFn slot_response_;
 

@@ -89,9 +89,6 @@ check_netlist(const sim::Kernel& kernel, const std::vector<WidthRule>& rules) {
     const auto& nets = kernel.nets();
     const auto& ports = kernel.ports();
 
-    std::map<std::string, const NetRecord*> by_name;
-    for (const NetRecord& n : nets) by_name[n.name] = &n;
-
     // Registered component names: the kernel builds its quiescence
     // wake-edge map by resolving each read port's component against this
     // set, silently skipping misses (legitimate for external readers).
@@ -101,7 +98,7 @@ check_netlist(const sim::Kernel& kernel, const std::vector<WidthRule>& rules) {
     // Group ports by net; flag references to undeclared nets.
     std::map<std::string, std::vector<const PortRecord*>> net_ports;
     for (const PortRecord& p : ports) {
-        if (!by_name.count(p.net)) {
+        if (!kernel.net_record(kernel.net_id(p.net))) {
             out.push_back({Check::kUnknownNet, p.net,
                            "port '" + p.component + "' references undeclared net '" +
                                p.net + "'"});
@@ -237,14 +234,6 @@ check_resource_fit(const std::string& name, const sim::ResourceFootprint& total,
     if (over.str().empty()) return {};
     return {{Check::kResourceFit, name,
              "'" + name + "' exceeds device capacity:" + over.str()}};
-}
-
-const sim::NetRecord*
-find_net(const sim::Kernel& kernel, const std::string& name) {
-    for (const auto& n : kernel.nets()) {
-        if (n.name == name) return &n;
-    }
-    return nullptr;
 }
 
 std::string

@@ -80,21 +80,18 @@ struct UnionFind {
 
 std::vector<LatencyEdge>
 latency_graph(const sim::Kernel& kernel) {
-    std::map<std::string, const NetRecord*> by_name;
-    for (const NetRecord& n : kernel.nets()) by_name[n.name] = &n;
-
     // Writer/reader component sets per net, ordered for determinism.
     // Unknown nets are the structural linter's finding, not ours.
     std::map<std::string, std::pair<std::set<std::string>, std::set<std::string>>> ends;
     for (const PortRecord& p : kernel.ports()) {
-        if (!by_name.count(p.net)) continue;
+        if (!kernel.net_record(kernel.net_id(p.net))) continue;
         auto& e = ends[p.net];
         (p.dir == PortRecord::kWrite ? e.first : e.second).insert(p.component);
     }
 
     std::vector<LatencyEdge> out;
     for (const auto& [net, wr] : ends) {
-        const NetRecord& n = *by_name.at(net);
+        const NetRecord& n = *kernel.net_record(kernel.net_id(net));
         for (const std::string& w : wr.first) {
             for (const std::string& r : wr.second) {
                 if (w == r) continue;  // intra-component traffic cannot cross a cut

@@ -530,12 +530,12 @@ HealthMonitor::trip(uint64_t now, std::string what, std::string component) {
     t.cycle = now;
     t.what = std::move(what);
     t.component = std::move(component);
-    for (const auto& p : sys_->kernel().occupancy_probes()) {
-        size_t occ = p.fn();
+    for (const auto* p : sys_->kernel().occupancy_probes()) {
+        size_t occ = p->fn();
         if (occ > t.deepest_occupancy) {
             t.deepest_occupancy = occ;
-            t.deepest_capacity = p.capacity;
-            t.deepest_net = p.net;
+            t.deepest_capacity = p->capacity;
+            t.deepest_net = sys_->kernel().net_name(p->net);
         }
     }
     t.snapshot = build_snapshot(now);
@@ -578,20 +578,20 @@ HealthMonitor::build_snapshot(uint64_t now) const {
 
     // Deepest-backlog census over every registered FIFO/queue probe.
     std::vector<const sim::Kernel::OccupancyProbe*> ranked;
-    for (const auto& p : sys_->kernel().occupancy_probes())
-        if (p.fn() > 0) ranked.push_back(&p);
+    for (const auto* p : sys_->kernel().occupancy_probes())
+        if (p->fn() > 0) ranked.push_back(p);
     std::sort(ranked.begin(), ranked.end(),
               [](const auto* a, const auto* b) { return a->fn() > b->fn(); });
     out += "  deepest backlogs:\n";
     if (ranked.empty()) out += "    (all nets empty)\n";
     for (size_t i = 0; i < ranked.size() && i < 5; ++i) {
+        const char* net = sys_->kernel().net_name(ranked[i]->net).c_str();
         if (ranked[i]->capacity) {
-            std::snprintf(line, sizeof(line), "    %-32s %zu/%zu\n",
-                          ranked[i]->net.c_str(), ranked[i]->fn(),
-                          ranked[i]->capacity);
+            std::snprintf(line, sizeof(line), "    %-32s %zu/%zu\n", net,
+                          ranked[i]->fn(), ranked[i]->capacity);
         } else {
-            std::snprintf(line, sizeof(line), "    %-32s %zu\n",
-                          ranked[i]->net.c_str(), ranked[i]->fn());
+            std::snprintf(line, sizeof(line), "    %-32s %zu\n", net,
+                          ranked[i]->fn());
         }
         out += line;
     }

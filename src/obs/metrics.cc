@@ -172,10 +172,10 @@ MetricsRegistry::prometheus_text() const {
     if (kernel_) {
         out += "# HELP rosebud_net_occupancy Committed occupancy of a registered net (entries).\n";
         out += "# TYPE rosebud_net_occupancy gauge\n";
-        for (const auto& p : kernel_->occupancy_probes()) {
+        for (const auto* p : kernel_->occupancy_probes()) {
             prom_series(out, "rosebud_net_occupancy",
-                        "net=\"" + prom_label_value(p.net) + "\"",
-                        std::to_string(p.fn()));
+                        "net=\"" + prom_label_value(kernel_->net_name(p->net)) + "\"",
+                        std::to_string(p->fn()));
         }
         out += "# HELP rosebud_sim_cycles Simulated cycles since reset.\n";
         out += "# TYPE rosebud_sim_cycles gauge\n";
@@ -233,11 +233,11 @@ MetricsRegistry::json() const {
     }
     if (kernel_) {
         w.key("nets").begin_array();
-        for (const auto& p : kernel_->occupancy_probes()) {
+        for (const auto* p : kernel_->occupancy_probes()) {
             w.begin_object();
-            w.key("net").value(p.net);
-            w.key("occupancy").value(uint64_t(p.fn()));
-            w.key("capacity").value(uint64_t(p.capacity));
+            w.key("net").value(kernel_->net_name(p->net));
+            w.key("occupancy").value(uint64_t(p->fn()));
+            w.key("capacity").value(uint64_t(p->capacity));
             w.end_object();
         }
         w.end_array();

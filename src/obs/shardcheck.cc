@@ -1,6 +1,7 @@
 #include "obs/shardcheck.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -16,21 +17,40 @@ ShardLatencyRecorder::ShardLatencyRecorder(const sim::Kernel& kernel,
                                            sim::TelemetrySink* next,
                                            bool fault_on_undercut)
     : kernel_(kernel), next_(next), fault_on_undercut_(fault_on_undercut) {
+    std::map<std::string, unsigned> certified;
     for (const lint::ShardCut& c : plan.cuts) {
         if (c.edge.kind != lint::LatencyEdge::kData) continue;
-        NetState& st = nets_[c.edge.net];
-        st.certified = st.certified == 0
-                           ? c.edge.latency
-                           : std::min(st.certified, c.edge.latency);
+        unsigned& bound = certified[c.edge.net];
+        bound = bound == 0 ? c.edge.latency : std::min(bound, c.edge.latency);
     }
+    watched_.assign(kernel.net_id_count(), sim::kNoNet);
+    for (const auto& [net, bound] : certified) {
+        const sim::NetId id = kernel.net_id(net);
+        if (id != sim::kNoNet) watched_[id] = uint32_t(nets_.size());
+        NetState st;
+        st.net = net;
+        st.certified = bound;
+        nets_.push_back(std::move(st));
+    }
+    if (next_) next_->bind(kernel);
+}
+
+void
+ShardLatencyRecorder::net_event(sim::NetId net, NetEvent ev) {
+    if (next_) next_->net_event(net, ev);
+    observe(net, ev);
 }
 
 void
 ShardLatencyRecorder::net_event(const std::string& net, NetEvent ev) {
     if (next_) next_->net_event(net, ev);
-    auto it = nets_.find(net);
-    if (it == nets_.end()) return;
-    NetState& st = it->second;
+    observe(kernel_.net_id(net), ev);
+}
+
+void
+ShardLatencyRecorder::observe(sim::NetId net, NetEvent ev) {
+    if (net >= watched_.size() || watched_[net] == sim::kNoNet) return;
+    NetState& st = nets_[watched_[net]];
 
     const sim::Kernel::Phase phase = kernel_.phase();
     if (ev == NetEvent::kPushOk) {
@@ -60,19 +80,13 @@ ShardLatencyRecorder::net_event(const std::string& net, NetEvent ev) {
             st.undercut = true;
             undercut_seen_ = true;
             if (fault_on_undercut_) {
-                sim::fatal("shard-cut certificate violated on net '" + net +
+                sim::fatal("shard-cut certificate violated on net '" + st.net +
                            "': observed cross-cut latency " + std::to_string(lat) +
                            " < certified bound " + std::to_string(st.certified) +
                            " @cycle " + std::to_string(kernel_.now()));
             }
         }
     }
-}
-
-void
-ShardLatencyRecorder::net_occupancy(const std::string& net, size_t occupancy,
-                                    size_t capacity) {
-    if (next_) next_->net_occupancy(net, occupancy, capacity);
 }
 
 void
@@ -83,9 +97,9 @@ ShardLatencyRecorder::end_cycle(uint64_t completed) {
 std::vector<CutLatency>
 ShardLatencyRecorder::observations() const {
     std::vector<CutLatency> out;
-    for (const auto& [net, st] : nets_) {
+    for (const NetState& st : nets_) {
         CutLatency c;
-        c.net = net;
+        c.net = st.net;
         c.certified = st.certified;
         c.messages = st.messages;
         c.min_latency = st.messages ? st.min_latency : 0;

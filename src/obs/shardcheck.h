@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -50,9 +49,8 @@ class ShardLatencyRecorder : public sim::TelemetrySink {
                          sim::TelemetrySink* next = nullptr,
                          bool fault_on_undercut = true);
 
+    void net_event(sim::NetId net, NetEvent ev) override;
     void net_event(const std::string& net, NetEvent ev) override;
-    void net_occupancy(const std::string& net, size_t occupancy,
-                       size_t capacity) override;
     void end_cycle(uint64_t completed) override;
 
     /// Per-net observations, sorted by net name.
@@ -67,7 +65,10 @@ class ShardLatencyRecorder : public sim::TelemetrySink {
     std::string report() const;
 
  private:
+    void observe(sim::NetId net, NetEvent ev);
+
     struct NetState {
+        std::string net;
         unsigned certified = 0;
         std::deque<uint64_t> pending;  ///< push cycles awaiting their pop
         uint64_t messages = 0;
@@ -79,7 +80,8 @@ class ShardLatencyRecorder : public sim::TelemetrySink {
     sim::TelemetrySink* next_;
     bool fault_on_undercut_;
     bool undercut_seen_ = false;
-    std::map<std::string, NetState> nets_;
+    std::vector<NetState> nets_;      ///< watched nets, by name
+    std::vector<uint32_t> watched_;   ///< by NetId: index into nets_ or kNoNet
 };
 
 /// One-call harness behind `ctest` and the CI gate: build a forwarder

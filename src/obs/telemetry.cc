@@ -1,5 +1,8 @@
 #include "obs/telemetry.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/system.h"
 #include "lint/netlist.h"
 #include "sim/kernel.h"
@@ -30,10 +33,8 @@ Telemetry::attach(System& sys) {
     stats_ = &sys.stats();
     // Pre-seed every declared net so fully idle nets still show up with an
     // exact idle count (and so waveform widths come from declared depths).
-    for (const auto& rec : kernel_->nets()) {
-        NetStats& ns = nets_[rec.name];
-        ns.capacity = std::max(ns.capacity, rec.depth);
-    }
+    for (const auto& rec : kernel_->nets()) track(kernel_->net_id(rec.name));
+    sync_nets();
     for (const auto& name : cfg_.watch_counters) counter_prev_[name] = stats_->get(name);
     kernel_->set_telemetry(this);
 }
@@ -45,95 +46,145 @@ Telemetry::detach() {
     stats_ = nullptr;
 }
 
-Telemetry::NetStats&
-Telemetry::net(const std::string& name) {
-    auto it = nets_.find(name);
-    if (it != nets_.end()) return it->second;
-    // First sighting mid-run (a net created after attach, e.g. by a
-    // reconfigured RPU): backfill the cycles it was not observed as idle so
-    // its four buckets still sum to cycles_observed().
-    NetStats& ns = nets_[name];
-    ns.idle = cycles_observed_;
-    if (kernel_) {
-        if (const sim::NetRecord* rec = lint::find_net(*kernel_, name)) {
-            ns.capacity = rec->depth;
+void
+Telemetry::track(sim::NetId id) {
+    if (id >= hot_.size()) {
+        const size_t n = std::max<size_t>(id + 1, kernel_->net_id_count());
+        hot_.resize(n);
+        slots_.resize(n);
+    }
+    if (hot_[id].rank != kUntracked) return;
+    // First sighting. A net that appears mid-run (e.g. created by a
+    // reconfigured RPU) needs no backfill: idle is derived. The rank is
+    // provisional until the resort.
+    hot_[id].rank = uint32_t(order_.size());
+    Slot& s = slots_[id];
+    s.name = kernel_->net_name(id);
+    if (const sim::NetRecord* rec = kernel_->net_record(id)) s.st.capacity = rec->depth;
+    order_.push_back(id);
+    visit_.resize((order_.size() + 63) / 64);
+    resort_ = true;
+}
+
+void
+Telemetry::sync_nets() {
+    // Declared nets are observed from the cycle their occupancy probe
+    // appears. A (re)registered probe may bring a new occupancy, so the
+    // resort this forces re-reads every net once.
+    synced_net_epoch_ = kernel_->net_epoch();
+    for (sim::NetId id = 0; id < kernel_->net_id_count(); ++id)
+        if (kernel_->occupancy_probe(id) && kernel_->net_record(id)) track(id);
+    resort_ = true;
+}
+
+void
+Telemetry::net_event(sim::NetId id, NetEvent ev) {
+    if (id >= hot_.size() || hot_[id].rank == kUntracked) {
+        if (!kernel_) return;
+        track(id);
+    }
+    Hot& h = hot_[id];
+    ++h.events[size_t(ev)];
+    mark(h.rank);
+}
+
+void
+Telemetry::net_event(const std::string& net, NetEvent ev) {
+    if (kernel_) net_event(kernel_->intern_net(net), ev);
+}
+
+std::map<std::string, Telemetry::NetStats>
+Telemetry::nets() const {
+    std::map<std::string, NetStats> out;
+    for (sim::NetId id : order_) {
+        NetStats& ns = out[slots_[id].name] = slots_[id].st;
+        ns.idle = cycles_observed_ - ns.busy - ns.stalled - ns.starved;
+    }
+    return out;
+}
+
+void
+Telemetry::capture_net(Slot& s, NetState state, uint64_t completed_cycle) {
+    const uint64_t t = uint64_t(sim::cycles_to_ns(completed_cycle));
+    if (s.sig_state < 0) {
+        s.sig_state = vcd_.add_signal(s.name + ".state", 2);
+        // Eventless links never report occupancy; give them no occ trace.
+        s.sig_occ = vcd_.add_signal(s.name + ".occ",
+                                    bits_for(std::max(s.st.capacity, s.st.peak_occ)));
+    }
+    if (unsigned(state) != s.last_state) {
+        vcd_.change(t, s.sig_state, uint64_t(state));
+        s.last_state = unsigned(state);
+    }
+    if (uint64_t(s.st.occ) != s.last_occ) {
+        vcd_.change(t, s.sig_occ, uint64_t(s.st.occ));
+        s.last_occ = uint64_t(s.st.occ);
+    }
+}
+
+void
+Telemetry::visit(sim::NetId id, uint64_t completed) {
+    Slot& s = slots_[id];
+    uint32_t* events = hot_[id].events;
+    const auto count = [events](NetEvent ev) { return events[size_t(ev)]; };
+    // Occupancy changes only on cycles that move data or say so.
+    if (count(NetEvent::kPushOk) || count(NetEvent::kPop) || count(NetEvent::kOccupancy)) {
+        if (const sim::Kernel::OccupancyProbe* probe = kernel_->occupancy_probe(id)) {
+            s.st.occ = probe->fn();
+            s.st.peak_occ = std::max(s.st.peak_occ, s.st.occ);
+            if (probe->capacity) s.st.capacity = probe->capacity;
         }
     }
-    return ns;
-}
-
-void
-Telemetry::net_event(const std::string& name, NetEvent ev) {
-    NetStats& ns = net(name);
-    switch (ev) {
-    case NetEvent::kPushOk:
-        ++ns.pushes;
-        ns.f_moved = true;
-        break;
-    case NetEvent::kPushBlocked:
-        ++ns.blocked;
-        ns.f_blocked = true;
-        break;
-    case NetEvent::kPop:
-        ++ns.pops;
-        ns.f_moved = true;
-        break;
-    case NetEvent::kPollEmpty:
-        ++ns.polls_empty;
-        ns.f_polled = true;
-        break;
+    s.st.pushes += count(NetEvent::kPushOk);
+    s.st.blocked += count(NetEvent::kPushBlocked);
+    s.st.pops += count(NetEvent::kPop);
+    s.st.polls_empty += count(NetEvent::kPollEmpty);
+    NetState state = NetState::kIdle;
+    if (count(NetEvent::kPushBlocked)) {
+        state = NetState::kStalled;
+        ++s.st.stalled;
+        ++s.e_stalled;
+    } else if (count(NetEvent::kPushOk) || count(NetEvent::kPop)) {
+        state = NetState::kBusy;
+        ++s.st.busy;
+        ++s.e_busy;
+    } else if (count(NetEvent::kPollEmpty)) {
+        state = NetState::kStarved;
+        ++s.st.starved;
     }
-}
-
-void
-Telemetry::net_occupancy(const std::string& name, size_t occupancy, size_t capacity) {
-    NetStats& ns = net(name);
-    ns.occ = occupancy;
-    ns.peak_occ = std::max(ns.peak_occ, occupancy);
-    if (capacity) ns.capacity = capacity;
-}
-
-void
-Telemetry::capture_net(const std::string& name, NetStats& ns, NetState state,
-                       uint64_t completed_cycle) {
-    const uint64_t t = uint64_t(sim::cycles_to_ns(completed_cycle));
-    if (ns.sig_state < 0) {
-        ns.sig_state = vcd_.add_signal(name + ".state", 2);
-        // Eventless links never report occupancy; give them no occ trace.
-        ns.sig_occ = vcd_.add_signal(name + ".occ",
-                                     bits_for(std::max(ns.capacity, ns.peak_occ)));
-    }
-    if (unsigned(state) != ns.last_state) {
-        vcd_.change(t, ns.sig_state, uint64_t(state));
-        ns.last_state = unsigned(state);
-    }
-    if (uint64_t(ns.occ) != ns.last_occ) {
-        vcd_.change(t, ns.sig_occ, uint64_t(ns.occ));
-        ns.last_occ = uint64_t(ns.occ);
-    }
+    std::fill(events, events + std::size(hot_[id].events), 0);
+    if (cfg_.capture_vcd) capture_net(s, state, completed);
+    // A waveform that left idle must be revisited to fall back.
+    if (cfg_.capture_vcd && state != NetState::kIdle) mark(hot_[id].rank);
 }
 
 void
 Telemetry::end_cycle(uint64_t completed) {
-    for (auto& [name, ns] : nets_) {
-        NetState state;
-        if (ns.f_blocked) {
-            state = NetState::kStalled;
-            ++ns.stalled;
-            ++ns.e_stalled;
-        } else if (ns.f_moved) {
-            state = NetState::kBusy;
-            ++ns.busy;
-            ++ns.e_busy;
-        } else if (ns.f_polled) {
-            state = NetState::kStarved;
-            ++ns.starved;
-        } else {
-            state = NetState::kIdle;
-            ++ns.idle;
+    if (!kernel_) return;
+    if (kernel_->net_epoch() != synced_net_epoch_) sync_nets();
+    if (resort_) {
+        // New nets or probes: restore name order and re-read every net's
+        // occupancy once (a visit to an unchanged net records nothing).
+        std::sort(order_.begin(), order_.end(), [this](sim::NetId a, sim::NetId b) {
+            return slots_[a].name < slots_[b].name;
+        });
+        for (size_t r = 0; r < order_.size(); ++r) {
+            Hot& h = hot_[order_[r]];
+            h.rank = uint32_t(r);
+            ++h.events[size_t(NetEvent::kOccupancy)];
+            mark(uint32_t(r));
         }
-        ns.f_moved = ns.f_blocked = ns.f_polled = false;
-        if (cfg_.capture_vcd) capture_net(name, ns, state, completed);
+        resort_ = false;
+    }
+    // Visit marked nets in name order; a visit may re-mark its net for the
+    // next cycle, which lands in the word already taken.
+    for (size_t w = 0; w < visit_.size(); ++w) {
+        uint64_t bits = visit_[w];
+        visit_[w] = 0;
+        while (bits) {
+            visit(order_[w * 64 + size_t(__builtin_ctzll(bits))], completed);
+            bits &= bits - 1;
+        }
     }
     ++cycles_observed_;
     if (cfg_.epoch_cycles && cycles_observed_ % cfg_.epoch_cycles == 0) close_epoch();
@@ -146,12 +197,13 @@ Telemetry::close_epoch() {
     // Per-component busy/stall fractions: average over the component's
     // instrumented nets (each net contributes epoch_cycles observations).
     std::map<std::string, uint64_t> comp_busy, comp_stalled, comp_nets;
-    for (auto& [name, ns] : nets_) {
-        const std::string comp = lint::component_of(name);
-        comp_busy[comp] += ns.e_busy;
-        comp_stalled[comp] += ns.e_stalled;
+    for (sim::NetId id : order_) {
+        Slot& s = slots_[id];
+        const std::string comp = lint::component_of(s.name);
+        comp_busy[comp] += s.e_busy;
+        comp_stalled[comp] += s.e_stalled;
         comp_nets[comp] += 1;
-        ns.e_busy = ns.e_stalled = 0;
+        s.e_busy = s.e_stalled = 0;
     }
     for (const auto& [comp, n] : comp_nets) {
         const double denom = double(n) * double(cfg_.epoch_cycles);

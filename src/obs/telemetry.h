@@ -11,10 +11,17 @@
 ///   idle     — no activity at all
 ///
 /// Priority is stalled > busy > starved > idle, evaluated once per cycle
-/// from monotonic per-cycle flags, so the classification is independent of
+/// from the cycle's event counts, so the classification is independent of
 /// intra-cycle event order (and therefore of kernel tick-order shuffling).
 /// For every net, busy + stalled + starved + idle == cycles_observed():
 /// nets that first appear mid-run are backfilled with idle cycles.
+///
+/// Per-net state is NetId-indexed, so a typed event is an index and two
+/// stores. end_cycle visits, in name order, only the nets with an event
+/// this cycle plus, with VCD capture, nets whose waveform is not yet back
+/// to idle. It pulls occupancy from the kernel's probes only for nets
+/// whose events can change it (push, pop, kOccupancy). Every other net
+/// was idle, so idle is derived rather than counted.
 ///
 /// On top of the per-net totals the aggregator keeps:
 ///  * epoch time series — every `epoch_cycles` it rolls up per-component
@@ -85,21 +92,7 @@ class Telemetry : public sim::TelemetrySink {
         size_t capacity = 0;  ///< declared/observed capacity (0 = eventless link)
 
         uint64_t cycles() const { return busy + stalled + starved + idle; }
-
-        // Per-cycle flags, cleared by end_cycle().
-        bool f_moved = false;
-        bool f_blocked = false;
-        bool f_polled = false;
-
-        // Current-epoch accumulators.
-        uint64_t e_busy = 0;
-        uint64_t e_stalled = 0;
-
-        // Waveform state.
-        int sig_occ = -1;
-        int sig_state = -1;
-        unsigned last_state = 255;   ///< 255 = never emitted
-        uint64_t last_occ = ~0ull;
+        bool operator==(const NetStats&) const = default;
     };
 
     /// One closed epoch of the utilization time series.
@@ -116,6 +109,8 @@ class Telemetry : public sim::TelemetrySink {
         std::map<std::string, double> stall_frac;
         /// Watched counter deltas over this epoch.
         std::map<std::string, uint64_t> counter_delta;
+
+        bool operator==(const Epoch&) const = default;
     };
 
     Telemetry();
@@ -131,30 +126,64 @@ class Telemetry : public sim::TelemetrySink {
     void detach();
 
     // sim::TelemetrySink interface.
+    void net_event(sim::NetId net, NetEvent ev) override;
+    /// By-name adapter: resolves the name through the attached kernel.
     void net_event(const std::string& net, NetEvent ev) override;
-    void net_occupancy(const std::string& net, size_t occupancy, size_t capacity) override;
     void end_cycle(uint64_t completed) override;
 
     /// Cycles classified so far (== every net's four-bucket sum).
     uint64_t cycles_observed() const { return cycles_observed_; }
 
-    const std::map<std::string, NetStats>& nets() const { return nets_; }
+    /// Per-net totals keyed by net name, idle counts filled in.
+    std::map<std::string, NetStats> nets() const;
     const std::vector<Epoch>& epochs() const { return epochs_; }
 
     /// Waveform capture (empty unless Config::capture_vcd).
     const VcdWriter& vcd() const { return vcd_; }
 
  private:
-    NetStats& net(const std::string& name);
+    static constexpr uint32_t kUntracked = ~uint32_t(0);
+
+    /// The per-net state an event touches, kept small and apart.
+    struct Hot {
+        uint32_t rank = kUntracked;  ///< position in name order (visit_ bit)
+        /// This cycle's events, by NetEvent; folded in at the visit.
+        uint32_t events[size_t(NetEvent::kOccupancy) + 1] = {};
+    };
+
+    /// The rest of an observed net; `st.idle` stays 0 (nets() derives it).
+    struct Slot {
+        NetStats st;
+        std::string name;
+
+        // Current-epoch accumulators.
+        uint64_t e_busy = 0;
+        uint64_t e_stalled = 0;
+
+        // Waveform state.
+        int sig_occ = -1;
+        int sig_state = -1;
+        unsigned last_state = 255;  ///< 255 = never emitted
+        uint64_t last_occ = ~0ull;
+    };
+
+    void track(sim::NetId id);
+    void sync_nets();
+    void mark(uint32_t rank) { visit_[rank >> 6] |= uint64_t(1) << (rank & 63); }
+    void visit(sim::NetId id, uint64_t completed);
     void close_epoch();
     void coarsen_epochs();
-    void capture_net(const std::string& name, NetStats& ns, NetState state,
-                     uint64_t completed_cycle);
+    void capture_net(Slot& s, NetState state, uint64_t completed_cycle);
 
     Config cfg_;
     sim::Kernel* kernel_ = nullptr;
     sim::Stats* stats_ = nullptr;
-    std::map<std::string, NetStats> nets_;
+    std::vector<Hot> hot_;            ///< by NetId
+    std::vector<Slot> slots_;         ///< by NetId
+    std::vector<sim::NetId> order_;   ///< tracked ids; by name unless resort_
+    std::vector<uint64_t> visit_;     ///< rank bitset: nets to visit at end_cycle
+    bool resort_ = false;             ///< order_ grew or probes changed
+    uint64_t synced_net_epoch_ = ~uint64_t(0);  ///< kernel net_epoch() seen
     std::vector<Epoch> epochs_;
     std::map<std::string, uint64_t> counter_prev_;
     uint64_t cycles_observed_ = 0;

@@ -44,7 +44,8 @@ Rpu::Rpu(sim::Kernel& kernel, sim::Stats& stats, const Config& config)
     // are not a sim::Fifo (the DMA engine scatters into slot memory), so
     // the RPU registers the probe itself. occupancy_ mirrors rx_pending_
     // race-free, so a host-phase read is always consistent.
-    kernel.register_occupancy_probe(name() + ".slots", slot_pkts_.size(), this,
+    kernel.register_occupancy_probe(kernel.intern_net(name() + ".slots"),
+                                    slot_pkts_.size(), this,
                                     [this] { return size_t(occupancy_); });
     ctr_rx_packets_ = &stats.counter(stat("rx_packets"));
     ctr_rx_bytes_ = &stats.counter(stat("rx_bytes"));
@@ -62,7 +63,8 @@ Rpu::declare_netlist(sim::Kernel& kernel) {
     const unsigned link_bits = config_.link_bytes_per_cycle * 8;
 
     // The ingress link from the distribution fabric (written by Fabric).
-    kernel.declare_net({name() + ".link_in", NetRecord::kLink, link_bits, 1, 0});
+    link_in_net_ =
+        kernel.declare_net({name() + ".link_in", NetRecord::kLink, link_bits, 1, 0});
     kernel.declare_port({name(), name() + ".link_in", PortRecord::kRead, link_bits, 1});
 
     // Broadcast delivery lane (written by the messaging network).
@@ -333,9 +335,8 @@ Rpu::tick() {
     rx_next_gap_ = rx_gap_;
     if (rx_next_remaining_ > 0) {
         // A flit moves on the 128-bit ingress link this cycle.
-        if (sim::TelemetrySink* t = kernel().telemetry()) {
-            t->net_event(name() + ".link_in", sim::TelemetrySink::NetEvent::kPop);
-        }
+        if (sim::TelemetrySink* t = kernel().telemetry())
+            t->net_event(link_in_net_, sim::TelemetrySink::NetEvent::kPop);
         if (--rx_next_remaining_ == 0) {
             finish_rx();
             rx_next_gap_ = config_.ingress_gap_cycles;

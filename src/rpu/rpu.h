@@ -118,6 +118,10 @@ class Rpu : public sim::Component {
     /// the tick phase start it immediately.
     void begin_rx(net::PacketPtr pkt);
 
+    /// The ingress link's net (its telemetry events are emitted by the
+    /// fabric on push and by the RX engine on each flit).
+    sim::NetId link_in_net() const { return link_in_net_; }
+
     /// Number of packets currently buffered in this RPU (in flight +
     /// waiting for the core + being transmitted).
     uint32_t occupancy() const { return occupancy_; }
@@ -256,6 +260,7 @@ class Rpu : public sim::Component {
     // identically under any component tick order.
     sim::Fifo<Desc> rx_fifo_;
     net::PacketPtr rx_pkt_;
+    sim::NetId link_in_net_ = sim::kNoNet;
     uint32_t rx_remaining_ = 0;  ///< cycles left in the current transfer
     uint32_t rx_gap_ = 0;        ///< post-transfer setup gap
     uint32_t rx_next_remaining_ = 0;  ///< staged by tick()

@@ -55,19 +55,19 @@ class Fifo : public Clocked {
           credit_(credit) {
         assert(capacity >= 1);
         kernel.add_clocked(this, /*lazy=*/true);
-        kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
-                            net_flags,
-                            credit == CreditPolicy::kRegistered
-                                ? NetRecord::kCreditRegistered
-                                : NetRecord::kCreditSkid});
+        net_ = kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
+                                   net_flags,
+                                   credit == CreditPolicy::kRegistered
+                                       ? NetRecord::kCreditRegistered
+                                       : NetRecord::kCreditSkid});
         // Raw-field read (not size()): probes run in the host phase where
         // the race checks are moot, and must not emit telemetry events.
         kernel.register_occupancy_probe(
-            name_, capacity_, this,
+            net_, capacity_, this,
             [this] { return stable_.size() - popped_; });
     }
 
-    ~Fifo() override { kernel_.unregister_occupancy_probe(name_, this); }
+    ~Fifo() override { kernel_.unregister_occupancy_probe(net_, this); }
 
     /// True if a push this cycle will be accepted. A false answer counts
     /// as a stalled-on-credit observation for the telemetry sink.
@@ -153,8 +153,6 @@ class Fifo : public Clocked {
             for (auto& v : staged_) stable_.push_back(std::move(v));
             staged_.clear();
         }
-        if (TelemetrySink* t = kernel_.telemetry())
-            t->net_occupancy(name_, stable_.size(), capacity_);
     }
 
     /// Drop all contents immediately (used on RPU reset/reconfiguration).
@@ -165,6 +163,7 @@ class Fifo : public Clocked {
         stable_.clear();
         staged_.clear();
         popped_ = 0;
+        telemetry(TelemetrySink::NetEvent::kOccupancy);
     }
 
     const std::string& name() const { return name_; }
@@ -188,21 +187,15 @@ class Fifo : public Clocked {
     }
 
     void telemetry(TelemetrySink::NetEvent ev) const {
-        if (TelemetrySink* t = kernel_.telemetry()) t->net_event(name_, ev);
+        if (TelemetrySink* t = kernel_.telemetry()) t->net_event(net_, ev);
     }
 
-    /// Wake this net's reader components. The resolved reader list is
-    /// cached against the kernel's wake epoch so the hot path is one
-    /// compare; before the wake map exists nothing has slept yet, so
-    /// there is nothing to wake.
+    /// Wake this net's reader components. Before the wake map exists
+    /// nothing has slept yet, so there is nothing to wake.
     void wake_readers() {
         if (!kernel_.wake_map_built()) return;
-        if (wake_list_epoch_ != kernel_.wake_epoch()) {
-            wake_list_ = kernel_.wake_list(name_);
-            wake_list_epoch_ = kernel_.wake_epoch();
-        }
-        if (wake_list_)
-            for (Component* c : *wake_list_) c->wake();
+        if (const auto* readers = kernel_.wake_list(net_))
+            for (Component* c : *readers) c->wake();
     }
 
     /// Staging (push/clear): two different components staging into the same
@@ -252,6 +245,7 @@ class Fifo : public Clocked {
 
     Kernel& kernel_;
     std::string name_;
+    NetId net_ = kNoNet;
     size_t capacity_;
     CreditPolicy credit_;
     std::deque<T> stable_;
@@ -262,9 +256,6 @@ class Fifo : public Clocked {
     const Component* popper_ = nullptr;
     Cycle stage_cycle_ = ~Cycle(0);
     Cycle pop_cycle_ = ~Cycle(0);
-
-    const std::vector<Component*>* wake_list_ = nullptr;
-    uint64_t wake_list_epoch_ = 0;  ///< 0 never matches a built map's epoch
 };
 
 /// A single clocked register: writes become visible next cycle.

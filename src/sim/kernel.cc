@@ -74,6 +74,11 @@ Component::Component(Kernel& kernel, std::string name)
     kernel.add_component(this);
 }
 
+void
+TelemetrySink::net_event(NetId net, NetEvent ev) {
+    if (bound_kernel_) net_event(bound_kernel_->net_name(net), ev);
+}
+
 Kernel::Kernel() = default;
 
 Kernel::~Kernel() { stop_pool(); }
@@ -169,40 +174,27 @@ Kernel::sleep_sweep() {
 
 void
 Kernel::build_wake_map() {
-    wake_readers_.clear();
+    for (NetSlot& n : net_slots_) n.wake.clear();
     std::unordered_map<std::string, Component*> by_name;
     by_name.reserve(components_.size());
     for (Component* c : components_) by_name[c->name()] = c;
-    auto add = [&](const std::string& net, const std::string& component) {
-        auto it = by_name.find(component);
-        if (it == by_name.end()) return;  // external endpoint (host, wire)
-        auto& targets = wake_readers_[net];
+    for (const PortRecord& p : ports_) {
+        // Registered-credit nets return credit with one cycle of latency: a
+        // pop is an observable event for the *writer* (its can_push answer
+        // changes next cycle), so the writer needs a wake edge too — a
+        // producer sleeping on a full FIFO must tick again when space opens.
+        const NetId net = intern_net(p.net);
+        if (p.dir == PortRecord::kWrite) {
+            const NetRecord* rec = net_record(net);
+            if (!rec || rec->credit != NetRecord::kCreditRegistered) continue;
+        }
+        auto it = by_name.find(p.component);
+        if (it == by_name.end()) continue;  // external endpoint (host, wire)
+        auto& targets = net_slots_[net].wake;
         if (std::find(targets.begin(), targets.end(), it->second) == targets.end())
             targets.push_back(it->second);
-    };
-    // Registered-credit nets return credit with one cycle of latency: a
-    // pop is an observable event for the *writer* (its can_push answer
-    // changes next cycle), so the writer needs a wake edge too — a
-    // producer sleeping on a full FIFO must tick again when space opens.
-    std::unordered_map<std::string, bool> registered_credit;
-    for (const NetRecord& n : nets_) {
-        registered_credit[n.name] = n.credit == NetRecord::kCreditRegistered;
-    }
-    for (const PortRecord& p : ports_) {
-        if (p.dir == PortRecord::kRead) {
-            add(p.net, p.component);
-        } else if (p.dir == PortRecord::kWrite && registered_credit[p.net]) {
-            add(p.net, p.component);
-        }
     }
     wake_map_built_ = true;
-    ++wake_epoch_;
-}
-
-const std::vector<Component*>*
-Kernel::wake_list(const std::string& net) const {
-    auto it = wake_readers_.find(net);
-    return it == wake_readers_.end() ? nullptr : &it->second;
 }
 
 void
@@ -309,11 +301,9 @@ Kernel::step() {
     }
     active_ = nullptr;
     for (Clocked* c : clocked_) c->commit();
-    if (telemetry_ || commit_compat_) {
-        // Telemetry needs per-cycle occupancy from every primitive, so the
-        // lazy set is swept in (deterministic) registration order. The
-        // baseline-compat benchmark mode sweeps for cost parity with the
-        // pre-fast-path kernel.
+    if (commit_compat_) {
+        // The baseline-compat benchmark mode sweeps the whole lazy set for
+        // cost parity with the pre-fast-path kernel.
         for (Clocked* c : lazy_clocked_) {
             c->commit_queued_.store(false, std::memory_order_relaxed);
             c->commit();
@@ -845,41 +835,50 @@ Kernel::tick_order() const {
 }
 
 void
-Kernel::register_occupancy_probe(std::string net, size_t capacity,
-                                 const void* owner, std::function<size_t()> fn) {
-    for (OccupancyProbe& p : occupancy_probes_) {
-        if (p.net == net) {
-            p.capacity = capacity;
-            p.owner = owner;
-            p.fn = std::move(fn);
-            return;
-        }
-    }
-    occupancy_probes_.push_back(
-        {std::move(net), capacity, owner, std::move(fn)});
+Kernel::register_occupancy_probe(NetId net, size_t capacity, const void* owner,
+                                 std::function<size_t()> fn) {
+    net_slots_[net].probe = {net, capacity, owner, std::move(fn)};
+    ++net_epoch_;
 }
 
 void
-Kernel::unregister_occupancy_probe(const std::string& net, const void* owner) {
-    for (auto it = occupancy_probes_.begin(); it != occupancy_probes_.end();
-         ++it) {
-        if (it->net == net && it->owner == owner) {
-            occupancy_probes_.erase(it);
-            return;
-        }
-    }
+Kernel::unregister_occupancy_probe(NetId net, const void* owner) {
+    OccupancyProbe& p = net_slots_[net].probe;
+    if (p.owner != owner) return;
+    p = OccupancyProbe{};
+    ++net_epoch_;
 }
 
-void
+std::vector<const Kernel::OccupancyProbe*>
+Kernel::occupancy_probes() const {
+    std::vector<const OccupancyProbe*> out;
+    for (const NetSlot& n : net_slots_)
+        if (n.probe.fn) out.push_back(&n.probe);
+    return out;
+}
+
+NetId
+Kernel::intern_net(const std::string& name) {
+    auto [it, fresh] = net_ids_.try_emplace(name, NetId(net_slots_.size()));
+    if (fresh) {
+        net_slots_.push_back({&it->first, kNoNet, {}, {}});
+        ++net_epoch_;
+    }
+    return it->second;
+}
+
+NetId
 Kernel::declare_net(NetRecord net) {
     wake_map_built_ = false;
-    for (NetRecord& n : nets_) {
-        if (n.name == net.name) {
-            n = std::move(net);
-            return;
-        }
+    const NetId id = intern_net(net.name);
+    NetId& record = net_slots_[id].record;
+    if (record == kNoNet) {
+        record = NetId(nets_.size());
+        nets_.push_back(std::move(net));
+    } else {
+        nets_[record] = std::move(net);
     }
-    nets_.push_back(std::move(net));
+    return id;
 }
 
 void

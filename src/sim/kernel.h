@@ -285,8 +285,7 @@ class Kernel {
     /// that commit() is the identity on cycles where it staged nothing and
     /// popped nothing; it is committed only when it called request_commit()
     /// that cycle (Fifo and Reg qualify). Non-lazy elements commit every
-    /// cycle. While a telemetry sink is attached, lazy elements are swept
-    /// every cycle too, so per-cycle occupancy reporting stays complete.
+    /// cycle.
     void add_clocked(Clocked* c, bool lazy = false) {
         if (lazy)
             lazy_clocked_.push_back(c);
@@ -397,7 +396,10 @@ class Kernel {
     /// effective state) so per-cycle accounting stays exact and event
     /// order deterministic.
     void set_telemetry(TelemetrySink* sink) {
-        if (sink) wake_all();
+        if (sink) {
+            sink->bind(*this);
+            wake_all();
+        }
         telemetry_ = sink;
     }
     TelemetrySink* telemetry() const { return telemetry_; }
@@ -418,33 +420,41 @@ class Kernel {
 
     /// A registered on-demand reader of one net's committed occupancy.
     /// Primitives (sim::Fifo) and components owning abstract buffered links
-    /// (fabric VOQs, RPU packet slots) register a getter at construction so
-    /// host-side diagnostics — the watchdog's deepest-backlog census, the
-    /// metrics registry's gauges — can take a full occupancy snapshot at
-    /// any host-phase point without a TelemetrySink attached. Getters read
-    /// committed state only and are never called during tick/commit.
+    /// (fabric queues, RPU packet slots) register a getter at construction
+    /// so the watchdog's backlog census, the metrics gauges and the
+    /// telemetry sink's end-of-cycle pull can read committed occupancy at
+    /// any host-phase point. Getters are never called during tick/commit.
     struct OccupancyProbe {
-        std::string net;        ///< netlist name, e.g. "rpu3.rx_fifo"
+        NetId net = kNoNet;
         size_t capacity = 0;    ///< same unit as the getter (entries)
         const void* owner = nullptr;  ///< registrant, for matched removal
         std::function<size_t()> fn;   ///< committed occupancy right now
     };
 
-    /// Register (or, for the same net name, replace) an occupancy probe.
-    /// Re-registration mirrors declare_net: a reconfigured accelerator's
-    /// fresh primitive takes over its predecessor's net name.
-    void register_occupancy_probe(std::string net, size_t capacity,
-                                  const void* owner, std::function<size_t()> fn);
+    /// Register (or, for the same net, replace) an occupancy probe; a
+    /// reconfigured accelerator's fresh primitive takes over its
+    /// predecessor's net. The owner emits a telemetry event on `net` in
+    /// every cycle that changes the occupancy (kOccupancy if no data moves).
+    void register_occupancy_probe(NetId net, size_t capacity, const void* owner,
+                                  std::function<size_t()> fn);
 
     /// Remove the probe for `net` iff `owner` still owns it. Owner-matched
     /// so that destroying a replaced (stale) registrant cannot drop its
     /// successor's probe during reconfiguration handover.
-    void unregister_occupancy_probe(const std::string& net, const void* owner);
+    void unregister_occupancy_probe(NetId net, const void* owner);
 
-    /// All live occupancy probes, in registration order (deterministic).
-    const std::vector<OccupancyProbe>& occupancy_probes() const {
-        return occupancy_probes_;
+    /// The live probe on `net`, or null.
+    const OccupancyProbe* occupancy_probe(NetId net) const {
+        return net < net_slots_.size() && net_slots_[net].probe.fn
+                   ? &net_slots_[net].probe
+                   : nullptr;
     }
+
+    /// All live occupancy probes, in NetId order (deterministic).
+    std::vector<const OccupancyProbe*> occupancy_probes() const;
+
+    /// Bumped by every new id and probe change (telemetry resyncs on it).
+    uint64_t net_epoch() const { return net_epoch_; }
 
     // --- quiescence skipping --------------------------------------------------
 
@@ -560,9 +570,30 @@ class Kernel {
 
     // --- elaboration netlist ---------------------------------------------------
 
-    /// Record a net. Re-declaring the same name replaces the record (a
-    /// reconfigured accelerator re-elaborates its nets).
-    void declare_net(NetRecord net);
+    /// Record a net and return its dense id. Re-declaring a name (a
+    /// reconfigured accelerator) replaces the record under the same id.
+    NetId declare_net(NetRecord net);
+
+    /// The id for `name`, assigning one without declaring a net if the
+    /// name is new (a probe on a non-netlist structure, a by-name event).
+    NetId intern_net(const std::string& name);
+
+    /// The id for `name`, or kNoNet if it was never declared or interned.
+    NetId net_id(const std::string& name) const {
+        auto it = net_ids_.find(name);
+        return it == net_ids_.end() ? kNoNet : it->second;
+    }
+
+    size_t net_id_count() const { return net_slots_.size(); }
+
+    const std::string& net_name(NetId net) const { return *net_slots_[net].name; }
+
+    /// The declared record for `net`, or null if it was only interned.
+    const NetRecord* net_record(NetId net) const {
+        return net < net_slots_.size() && net_slots_[net].record != kNoNet
+                   ? &nets_[net_slots_[net].record]
+                   : nullptr;
+    }
 
     /// Record a directed port. Exact duplicates are dropped.
     void declare_port(PortRecord port);
@@ -570,20 +601,22 @@ class Kernel {
     const std::vector<NetRecord>& nets() const { return nets_; }
     const std::vector<PortRecord>& ports() const { return ports_; }
 
-    // --- wake edges (net name -> reader components) ----------------------------
+    // --- wake edges (net -> reader components) ---------------------------------
 
     /// True once the wake-edge map reflects the current netlist. The map
     /// is (re)built lazily before the first sleep sweep and after any
-    /// netlist change; a Fifo caches its resolved reader list against
-    /// wake_epoch().
+    /// netlist change.
     bool wake_map_built() const { return wake_map_built_; }
-    uint64_t wake_epoch() const { return wake_epoch_; }
 
     /// Components woken by activity on `net` per the elaboration netlist
     /// (its readers, plus its writers when the net returns registered
     /// credit), or null if none are registered. Valid until the next
-    /// netlist change.
-    const std::vector<Component*>* wake_list(const std::string& net) const;
+    /// netlist change; an index, so callers need not cache it.
+    const std::vector<Component*>* wake_list(NetId net) const {
+        return net < net_slots_.size() && !net_slots_[net].wake.empty()
+                   ? &net_slots_[net].wake
+                   : nullptr;
+    }
 
     /// Hook run once, immediately before the first step(). System installs
     /// the static lint pass here so that everything constructed up front —
@@ -624,7 +657,7 @@ class Kernel {
     bool race_check_ = true;
     TelemetrySink* telemetry_ = nullptr;
     HealthProbe* health_probe_ = nullptr;
-    std::vector<OccupancyProbe> occupancy_probes_;
+    uint64_t net_epoch_ = 0;
 
     bool idle_skip_ = true;
     bool commit_compat_ = false;
@@ -632,8 +665,6 @@ class Kernel {
     Cycle fast_forwarded_ = 0;
 
     bool wake_map_built_ = false;
-    uint64_t wake_epoch_ = 0;
-    std::unordered_map<std::string, std::vector<Component*>> wake_readers_;
 
     unsigned parallel_ticks_ = 0;
     std::vector<std::thread> workers_;
@@ -653,7 +684,16 @@ class Kernel {
     /// once (each board's kernel runs on its own thread in a cluster).
     static thread_local ShardRun* t_shard_;
 
+    struct NetSlot {  ///< everything keyed by NetId
+        const std::string* name = nullptr;  ///< key in net_ids_ (nodes are stable)
+        NetId record = kNoNet;              ///< index into nets_ once declared
+        std::vector<Component*> wake;       ///< wake-edge targets
+        OccupancyProbe probe;               ///< live iff probe.fn
+    };
+
     std::vector<NetRecord> nets_;
+    std::vector<NetSlot> net_slots_;
+    std::unordered_map<std::string, NetId> net_ids_;
     std::vector<PortRecord> ports_;
     std::function<void(Kernel&)> prestep_hook_;
     bool prestep_done_ = false;

@@ -6,11 +6,24 @@
 /// how the simulator grows that into full stall *attribution*. A TelemetrySink
 /// registered with the Kernel receives a low-level event stream from every
 /// registered primitive (sim::Fifo) and from components that own abstract
-/// links (the fabric's VOQs, the LB assignment interface, the per-RPU ingress
-/// links): push accepted, push blocked on credit, pop, consumer-poll-found-
-/// empty, and end-of-cycle occupancy. The obs:: layer turns that stream into
-/// per-cycle idle/busy/stalled/starved classification, VCD waveforms and
-/// Perfetto traces.
+/// links (the fabric's queues, the LB assignment interface, the per-RPU
+/// ingress links): push accepted, push blocked on credit, pop, consumer-
+/// poll-found-empty, plus one clock edge per cycle. The obs:: layer turns
+/// that stream into per-cycle idle/busy/stalled/starved classification, VCD
+/// waveforms and Perfetto traces.
+///
+/// Events are typed: Kernel::declare_net gives every net a dense NetId,
+/// emitters resolve theirs at construction, and the hot path carries
+/// `(NetId, NetEvent)` with no string built or looked up. Occupancy is not
+/// pushed; a sink that wants it reads the kernel's occupancy probes at
+/// end_cycle, and every occupancy change comes with an event on its net
+/// in the same cycle, so a reader need only look at touched nets.
+///
+/// The by-name overload is the one adapter kept for forwarding sinks
+/// written against names (tracers, counters): the typed call's default
+/// forwards by name through the bound kernel, and obs::Telemetry resolves
+/// a by-name event back to its NetId. `net_occupancy` survives only for
+/// such forwarders' signatures; the kernel never calls it.
 ///
 /// The hooks cost one pointer compare per operation when no sink is attached
 /// (the default), so production sweeps pay nothing; no sim::Stats counters
@@ -34,6 +47,13 @@
 
 namespace rosebud::sim {
 
+class Kernel;
+
+/// Dense per-kernel net identifier (Kernel::declare_net), stable for the
+/// kernel's lifetime.
+using NetId = uint32_t;
+inline constexpr NetId kNoNet = ~NetId(0);
+
 /// Receives the raw per-cycle event stream. Implementations classify and
 /// aggregate; emitters never interpret.
 class TelemetrySink {
@@ -44,23 +64,35 @@ class TelemetrySink {
         kPushBlocked,  ///< a producer saw no credit (stalled-on-credit)
         kPop,          ///< a value was consumed this cycle (data moved out)
         kPollEmpty,    ///< a consumer polled and found nothing (starved)
+        /// Committed occupancy changed with no data crossing the net (a
+        /// reset clear, a PCIe tag release, the loopback re-entry).
+        /// Classifies nothing; it tells an occupancy reader to look.
+        kOccupancy,
     };
 
     virtual ~TelemetrySink() = default;
 
     /// An event on net `net` during the current cycle. Multiple events per
     /// net per cycle are expected; sinks classify on booleans, so emitters
-    /// need not dedupe.
+    /// need not dedupe. The default forwards by name (see file comment).
+    virtual void net_event(NetId net, NetEvent ev);
+
+    /// By-name adapter for forwarding sinks.
     virtual void net_event(const std::string& net, NetEvent ev) = 0;
 
-    /// Committed occupancy of `net` after this cycle's clock edge.
-    /// `capacity` is in the same unit as `occupancy` (entries or bytes).
-    virtual void net_occupancy(const std::string& net, size_t occupancy,
-                               size_t capacity) = 0;
+    /// Kept for forwarding sinks' signatures; never called by the kernel.
+    virtual void net_occupancy(const std::string&, size_t, size_t) {}
 
     /// The clock edge: cycle `completed` has fully committed. Sinks close
     /// the per-cycle classification window here.
     virtual void end_cycle(uint64_t completed) = 0;
+
+    /// Resolve names through `kernel`: Kernel::set_telemetry binds the
+    /// attached sink, and a chaining sink binds its successor.
+    void bind(const Kernel& kernel) { bound_kernel_ = &kernel; }
+
+ private:
+    const Kernel* bound_kernel_ = nullptr;
 };
 
 /// A lightweight per-cycle heartbeat for always-on health monitoring.

@@ -2,17 +2,20 @@
 /// reservoir bounding), CSV escaping, the VCD writer's header/format, the
 /// Perfetto exporter's structure, the telemetry cycle-classification
 /// invariant (busy+stalled+starved+idle == observed cycles on every net),
-/// the firmware PC profiler's conservation property, tracer retention, and
-/// the guarantee that attaching telemetry leaves the architectural state
-/// fingerprint untouched.
+/// typed-vs-by-name sink equivalence (incl. reconfiguration and nets first
+/// seen mid-run), the firmware PC profiler's conservation property, tracer
+/// retention, and the guarantee that attaching telemetry leaves the
+/// architectural state fingerprint untouched.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
+#include "accel/firewall.h"
 #include "core/system.h"
 #include "core/tracer.h"
+#include "sim/fifo.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
 #include "net/tracegen.h"
@@ -424,13 +427,12 @@ TEST(ShardCheck, RecorderFlagsAnOverstatedBound) {
 
 TEST(ShardCheck, RecorderForwardsToChainedSink) {
     // The recorder must be transparent when stacked in front of another
-    // sink: same events in, same events out.
+    // sink: same typed events in, same typed events out, one end_cycle per
+    // cycle. (Occupancy is pulled from the kernel's probes, never pushed.)
     struct Counter : sim::TelemetrySink {
-        uint64_t events = 0, occupancies = 0, cycles = 0;
-        void net_event(const std::string&, NetEvent) override { ++events; }
-        void net_occupancy(const std::string&, size_t, size_t) override {
-            ++occupancies;
-        }
+        uint64_t events = 0, by_name = 0, cycles = 0;
+        void net_event(sim::NetId, NetEvent) override { ++events; }
+        void net_event(const std::string&, NetEvent) override { ++by_name; }
         void end_cycle(uint64_t) override { ++cycles; }
     };
     SystemConfig cfg;
@@ -452,9 +454,131 @@ TEST(ShardCheck, RecorderForwardsToChainedSink) {
     sys2.run_cycles(200);
     sys2.kernel().set_telemetry(nullptr);
 
+    EXPECT_GT(direct.events, 0u);
     EXPECT_EQ(chained.events, direct.events);
-    EXPECT_EQ(chained.occupancies, direct.occupancies);
+    EXPECT_EQ(chained.by_name, 0u);
+    EXPECT_EQ(direct.by_name, 0u);
+    EXPECT_EQ(chained.cycles, 200u);
     EXPECT_EQ(chained.cycles, direct.cycles);
+}
+
+// ------------------------------------------- typed vs by-name equivalence
+
+/// A forwarding sink written against names only, like a tracing wrapper:
+/// it overrides just the by-name virtuals, so every typed event reaches it
+/// through the default name-resolving adapter.
+struct ByNameForwarder : sim::TelemetrySink {
+    sim::TelemetrySink* inner = nullptr;
+    uint64_t forwarded = 0;
+    void net_event(const std::string& net, NetEvent ev) override {
+        ++forwarded;
+        inner->net_event(net, ev);
+    }
+    void net_occupancy(const std::string& net, size_t occ, size_t cap) override {
+        inner->net_occupancy(net, occ, cap);
+    }
+    void end_cycle(uint64_t completed) override { inner->end_cycle(completed); }
+};
+
+struct TelemetryCapture {
+    std::map<std::string, obs::Telemetry::NetStats> nets;
+    std::vector<obs::Telemetry::Epoch> epochs;
+    std::string vcd;
+    uint64_t cycles = 0;
+    sim::NetId accel_link_before = sim::kNoNet;
+    sim::NetId accel_link_after = sim::kNoNet;
+    uint64_t forwarded = 0;
+};
+
+/// Traffic, an accelerator reconfiguration, a FIFO created mid-run (and
+/// later cleared) and a by-name event on a never-declared net, observed
+/// either directly or behind a ByNameForwarder.
+TelemetryCapture
+run_observed(bool by_name) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    System sys(cfg);
+    auto fw = fwlib::forwarder();
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    net::Blacklist blacklist;
+    sys.rpu(1).attach_accelerator(std::make_unique<accel::FirewallMatcher>(blacklist));
+
+    obs::Telemetry::Config tc;
+    tc.epoch_cycles = 256;
+    tc.capture_vcd = true;
+    tc.watch_counters = {"fabric.voq_stall"};
+    obs::Telemetry telem(tc);
+    telem.attach(sys);
+    ByNameForwarder fwd;
+    if (by_name) {
+        fwd.inner = &telem;
+        sys.kernel().set_telemetry(&fwd);
+    }
+
+    TelemetryCapture out;
+    sim::Kernel& k = sys.kernel();
+    out.accel_link_before = k.net_id("rpu1.accel_link");
+    sys.run_cycles(300);
+    for (int i = 0; i < 20; ++i) sys.fabric().mac_rx(i % 2, make_packet(256, 100 + i));
+    sys.run_cycles(1500);
+
+    // Reconfiguration re-declares the accelerator socket under its old id.
+    sys.rpu(1).attach_accelerator(std::make_unique<accel::FirewallMatcher>(blacklist));
+    out.accel_link_after = k.net_id("rpu1.accel_link");
+
+    // A net first seen mid-run: a declared, probed FIFO and an event-only
+    // name the kernel has never declared.
+    sim::Fifo<int> late(k, "late.q", 4, 32, sim::kNetExternalSource | sim::kNetExternalSink);
+    sys.run_cycles(100);
+    EXPECT_TRUE(late.push(1));
+    EXPECT_TRUE(late.push(2));
+    k.telemetry()->net_event(std::string("late.link"), sim::TelemetrySink::NetEvent::kPushOk);
+    for (int i = 0; i < 20; ++i) sys.fabric().mac_rx(i % 2, make_packet(512, 200 + i));
+    sys.run_cycles(400);
+    late.pop();
+    sys.run_cycles(600);
+    late.clear();  // a drain with no data crossing the net (kOccupancy)
+    sys.run_cycles(600);
+
+    out.nets = telem.nets();
+    out.epochs = telem.epochs();
+    out.vcd = telem.vcd().str();
+    out.cycles = telem.cycles_observed();
+    out.forwarded = fwd.forwarded;
+    telem.detach();
+    return out;
+}
+
+TEST(Telemetry, ByNameForwarderMatchesTypedPath) {
+    const TelemetryCapture typed = run_observed(false);
+    const TelemetryCapture named = run_observed(true);
+    EXPECT_EQ(typed.forwarded, 0u);
+    EXPECT_GT(named.forwarded, 0u);  // events really took the by-name path
+
+    EXPECT_EQ(typed.cycles, 3500u);
+    EXPECT_EQ(named.cycles, typed.cycles);
+    EXPECT_TRUE(named.nets == typed.nets);
+    EXPECT_TRUE(named.epochs == typed.epochs);
+    EXPECT_EQ(typed.epochs.size(), 3500u / 256);
+    EXPECT_EQ(named.vcd, typed.vcd);
+
+    ASSERT_NE(typed.accel_link_before, sim::kNoNet);
+    EXPECT_EQ(typed.accel_link_after, typed.accel_link_before);
+
+    // Nets first seen mid-run are backfilled with idle, so conservation
+    // holds for every net wherever nets() is read.
+    for (const auto& [name, ns] : typed.nets)
+        EXPECT_EQ(ns.cycles(), typed.cycles) << "net " << name;
+    for (const char* late : {"late.q", "late.link"}) {
+        auto it = typed.nets.find(late);
+        ASSERT_NE(it, typed.nets.end()) << late;
+        EXPECT_GT(it->second.idle, 1900u) << late;
+        EXPECT_GT(it->second.busy, 0u) << late;
+    }
+    EXPECT_EQ(typed.nets.at("late.q").peak_occ, 2u);
+    EXPECT_EQ(typed.nets.at("late.q").occ, 0u);
+    EXPECT_NE(typed.vcd.find("$scope module late $end"), std::string::npos);
 }
 
 }  // namespace

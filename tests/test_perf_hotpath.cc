@@ -6,7 +6,8 @@
 /// time. This binary overrides global operator new with a counter and
 /// asserts:
 ///  * an idle steady-state system (idle skipping disabled, so every
-///    component really ticks every cycle) performs ZERO allocations;
+///    component really ticks every cycle) performs ZERO allocations — also
+///    with the stall-attribution telemetry attached;
 ///  * under traffic, allocations are bounded per *packet* (payload buffers,
 ///    shared_ptr control blocks), never per cycle.
 
@@ -21,6 +22,7 @@
 #include "firmware/programs.h"
 #include "net/tracegen.h"
 #include "obs/health.h"
+#include "obs/telemetry.h"
 
 namespace {
 
@@ -166,6 +168,31 @@ TEST(HotPath, TrafficWithHealthAttachedStaysBoundedPerPacket) {
         << "health layer allocations grew with cycles, not packets ("
         << g_allocs.load() << " allocs for " << packets << " packets)";
     mon.detach();
+}
+
+// Attached telemetry's cost contract: typed events and pulled occupancy
+// touch only NetId-indexed state, so the per-cycle path builds no net-name
+// strings and allocates nothing. (Waveform capture and epochs are off:
+// both allocate by design, per value change and per epoch.)
+TEST(HotPath, TelemetryAttachedSteadyStateAllocatesNothing) {
+    auto sys = make_forwarder_system(4);
+    obs::Telemetry::Config tc;
+    tc.capture_vcd = false;
+    tc.epoch_cycles = 0;
+    obs::Telemetry telem(tc);
+    telem.attach(*sys);
+    sys->kernel().set_idle_skip(false);
+    sys->run_cycles(2000);  // warm-up, same as the detached audit
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    sys->run_cycles(5000);
+    g_counting.store(false);
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "attached telemetry touched the heap on the per-cycle path";
+    EXPECT_EQ(telem.cycles_observed(), 7000u);
+    telem.detach();
 }
 
 }  // namespace

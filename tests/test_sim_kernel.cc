@@ -304,7 +304,7 @@ TEST(Quiescence, WakeMapIncludesRegisteredCreditWriters) {
     ASSERT_TRUE(k.wake_map_built());
 
     auto contains = [&](const char* net, const char* name) {
-        const std::vector<Component*>* l = k.wake_list(net);
+        const std::vector<Component*>* l = k.wake_list(k.net_id(net));
         if (!l) return false;
         for (Component* c : *l) {
             if (c->name() == name) return true;
