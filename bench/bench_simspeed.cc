@@ -1,11 +1,10 @@
 /// Simulation-speed benchmark (host time, not simulated time).
 ///
-/// Four execution modes of the same workloads:
-///  * reference — predecode off, idle skipping off, serial ticking: the
+/// Three execution modes of the same workloads:
+///  * reference — predecode off, idle skipping off, commit-compat: the
 ///    plain interpret-everything two-phase kernel;
-///  * tuned     — predecoded RV32 dispatch + quiescence skipping (the
-///    defaults every experiment harness runs with);
-///  * parallel  — tuned plus the thread-pool tick executor;
+///  * tuned     — predecoded RV32 dispatch + quiescence skipping and timed
+///    sleep (the defaults every experiment harness runs with);
 ///  * decoupled — tuned plus time-decoupled cooperative execution over
 ///    the certified 4-way ShardPlan (DESIGN.md §16).
 ///
@@ -50,17 +49,14 @@ struct Mode {
 // every issue, every component and clocked primitive ticked/committed every
 // cycle, no datapath scan guards (commit_compat).
 const Mode kModes[] = {
-    {"reference",
-     {.predecode = false, .idle_skip = false, .parallel_ticks = 0,
-      .commit_compat = true}},
-    {"tuned", {.predecode = true, .idle_skip = true, .parallel_ticks = 0}},
-    {"parallel", {.predecode = true, .idle_skip = true, .parallel_ticks = 2}},
+    {"reference", {.predecode = false, .idle_skip = false, .commit_compat = true}},
+    {"tuned", {.predecode = true, .idle_skip = true}},
     // Time-decoupled cooperative execution over the certified 4-way
     // ShardPlan (DESIGN.md §16). Pigasus falls back to the barrier kernel
     // (the hardware reassembler is a structural obstacle) — the row then
     // simply measures tuned, still fingerprint-gated.
-    {"decoupled", {.predecode = true, .idle_skip = true, .parallel_ticks = 0,
-                   .shards = 4, .shard_workers = 1}},
+    {"decoupled",
+     {.predecode = true, .idle_skip = true, .shards = 4, .shard_workers = 1}},
 };
 
 struct RunResult {
@@ -100,10 +96,6 @@ run_pipeline(Pipeline which, const exp::SimTuning& t,
 
     sys.kernel().set_idle_skip(t.idle_skip);
     sys.kernel().set_commit_compat(t.commit_compat);
-    if (t.parallel_ticks > 1) {
-        sys.kernel().set_race_check(false);
-        sys.kernel().set_parallel_ticks(t.parallel_ticks);
-    }
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(t.predecode);
 
@@ -201,7 +193,7 @@ main() {
     bench::JsonResults json("simspeed");
     int failures = 0;
 
-    bench::heading("Simulation speed: fixed workloads, 8 RPUs, 60k cycles");
+    bench::heading("Simulation speed: fixed workloads, 8 RPUs, 240k cycles");
     std::printf("%-10s %-10s %10s %14s %14s %18s\n", "workload", "mode", "host(s)",
                 "Mcycles/s", "kpkts/s", "fingerprint");
     for (Pipeline w : {Pipeline::kForwarder, Pipeline::kFirewall, Pipeline::kPigasus}) {

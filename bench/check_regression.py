@@ -5,7 +5,7 @@ Compares a current run (e.g. bench-json/simspeed.json) against a blessed
 baseline (bench/baselines/<bench>.json, itself a verbatim bench output).
 Machines differ in absolute speed, so raw throughput is never compared
 directly: the `reference` mode of each workload calibrates a per-workload
-machine-speed scale, and the tuned/parallel/tuned+health modes are gated
+machine-speed scale, and the tuned/decoupled/tuned+health modes are gated
 against the baseline *scaled to the current machine*. A >10% (default)
 drop in scaled throughput, a speedup-ratio regression, a health-layer
 overhead above 2x its 5% target, or any fingerprint mismatch fails the
@@ -26,11 +26,9 @@ import sys
 # Absolute ceiling for the production-health overhead ratio: 2x the 5%
 # design target, matching the hard gate inside bench_simspeed itself.
 HEALTH_OVERHEAD_MAX = 0.10
-# Modes whose host-time numbers are stable enough to gate. The parallel
-# executor's wall time depends on scheduler contention and core count, so
-# it is reported (and fingerprint-checked) but not throughput-gated. The
-# decoupled modes run on one thread (coop executor) and their speedups
-# are serial-vs-decoupled ratios from the same run, so they gate cleanly.
+# Modes whose host-time numbers are stable enough to gate. The decoupled
+# modes run on one thread (coop executor) and their speedups are
+# serial-vs-decoupled ratios from the same run, so they gate cleanly.
 GATED_MODES = ("tuned", "tuned+health", "decoupled", "decoupled-4shard")
 # Floor for the Figure 7 sweep tuned-vs-reference speedup (paper target).
 FIG7_SPEEDUP_MIN = 2.0

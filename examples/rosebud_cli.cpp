@@ -61,9 +61,7 @@ usage() {
     std::fprintf(stderr,
                  "usage: rosebud_cli <experiment> [--key value]...\n"
                  "global simulation-speed flags (any experiment):\n"
-                 "  --parallel-ticks N   tick components on N threads (results are\n"
-                 "                       fingerprint-identical to the serial schedule)\n"
-                 "  --no-idle-skip       disable quiescence skipping\n"
+                 "  --no-idle-skip       disable quiescence skipping and timed sleep\n"
                  "  --no-predecode       disable the RV32 decoded-instruction cache\n"
                  "experiments:\n"
                  "  forward    --rpus N --size N --ports 1|2 --load F\n"
@@ -233,7 +231,6 @@ main(int argc, char** argv) {
     exp::SimTuning tuning;
     tuning.idle_skip = !args.has("no-idle-skip");
     tuning.predecode = !args.has("no-predecode");
-    tuning.parallel_ticks = args.u32("parallel-ticks", 0);
     exp::set_sim_tuning(tuning);
     auto host_t0 = std::chrono::steady_clock::now();
 
@@ -732,14 +729,10 @@ main(int argc, char** argv) {
         double host_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - host_t0)
                             .count();
-        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s, "
-                    "ticks=%s)\n",
+        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s)\n",
                     args.experiment.c_str(), host_s,
                     tuning.predecode ? "on" : "off",
-                    tuning.idle_skip ? "on" : "off",
-                    tuning.parallel_ticks > 1
-                        ? std::to_string(tuning.parallel_ticks).c_str()
-                        : "serial");
+                    tuning.idle_skip ? "on" : "off");
         break;
     }
     return 0;

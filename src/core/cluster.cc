@@ -50,19 +50,21 @@ struct BoardRun {
 };
 
 /// One board's full run: identical construction and cycle schedule for
-/// the serial reference and the cluster (decoupled) configuration, so the
-/// final fingerprints are comparable bit for bit. Host time is measured
+/// the serial reference and the cluster configuration, so the final
+/// fingerprints are comparable bit for bit. The reference turns timed
+/// sleep off (the blessed baselines' regime). Host time is measured
 /// after the decoupled install (run_cycles(0) retries the latent request)
 /// — certification cost is a one-time setup, not simulation throughput.
 BoardRun
-run_board(const ClusterParams& p, unsigned board, bool decoupled) {
+run_board(const ClusterParams& p, unsigned board, bool reference) {
     SystemConfig cfg;
     cfg.rpu_count = p.rpu_count;
     System sys(cfg);
     sys.kernel().set_idle_skip(true);
+    sys.kernel().set_timed_sleep(!reference);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(true);
-    if (decoupled && p.decouple_shards > 1) {
+    if (!reference && p.decouple_shards > 1) {
         sys.set_decouple_exec(p.exec);
         sys.set_decouple_shards(p.decouple_shards, p.shard_workers);
     }
@@ -148,11 +150,11 @@ run_cluster(const ClusterParams& p) {
         }
     }
 
-    // Serial tuned references: one standalone single-board run per flow
+    // Serial references: one standalone single-board run per flow
     // subset. These are both the speedup denominator inputs and the
     // ground-truth fingerprints the cluster pass must reproduce.
     for (unsigned b = 0; b < p.boards; ++b) {
-        BoardRun ref = run_board(p, b, /*decoupled=*/false);
+        BoardRun ref = run_board(p, b, /*reference=*/true);
         res.boards[b].reference_fingerprint = ref.fingerprint;
         res.boards[b].reference_host_s = ref.host_s;
         res.serial_host_s += ref.host_s;
@@ -165,7 +167,7 @@ run_cluster(const ClusterParams& p) {
     res.fingerprints_match = true;
     res.decoupled_active = p.decouple_shards <= 1;
     for (unsigned b = 0; b < p.boards; ++b) {
-        BoardRun run = run_board(p, b, /*decoupled=*/true);
+        BoardRun run = run_board(p, b, /*reference=*/false);
         ClusterBoardResult& out = res.boards[b];
         out.fingerprint = run.fingerprint;
         out.fingerprint_match = run.fingerprint == out.reference_fingerprint;

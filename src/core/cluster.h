@@ -10,7 +10,8 @@
 /// subset. run_cluster exploits exactly that — every board runs as its
 /// own System (time-decoupled over the certified ShardPlan when
 /// requested) and the harness proves the equivalence by fingerprinting
-/// each board against a serial tuned reference run of the same subset.
+/// each board against a serial reference run of the same subset (tuned,
+/// timed sleep off: the blessed speedups' regime).
 ///
 /// The reported speedup is the honest 1-host-thread metric: the summed
 /// host time of the per-board serial reference runs divided by the total
@@ -34,8 +35,8 @@ namespace rosebud::exp {
 struct ClusterParams {
     unsigned boards = 2;
     unsigned rpu_count = 16;
-    /// Per-board time-decoupled shard count (0 or 1 = serial tuned kernel
-    /// on every board; the cluster is still simulated board-by-board).
+    /// Per-board time-decoupled shard count (0 or 1 = the timed-sleep
+    /// tuned kernel on every board; still simulated board-by-board).
     unsigned decouple_shards = 4;
     unsigned shard_workers = 1;
     /// How decoupled shards map onto host threads (kAuto: coop scheduling
@@ -54,7 +55,7 @@ struct ClusterParams {
 
 struct ClusterBoardResult {
     uint64_t fingerprint = 0;            ///< decoupled (cluster) run
-    uint64_t reference_fingerprint = 0;  ///< serial tuned standalone run
+    uint64_t reference_fingerprint = 0;  ///< serial standalone reference run
     bool fingerprint_match = false;
     uint64_t frames = 0;  ///< delivered over the measurement window
     uint64_t bytes = 0;
@@ -82,7 +83,7 @@ struct ClusterResult {
 };
 
 /// Run the cluster simulation: model the front end, then per board run a
-/// serial tuned reference followed by the cluster-configuration run, and
+/// serial reference followed by the cluster-configuration run, and
 /// gate the fingerprints against each other.
 ClusterResult run_cluster(const ClusterParams& p);
 

@@ -16,18 +16,11 @@ namespace {
 SimTuning g_tuning;
 double g_last_host_seconds = 0.0;
 
-/// Applies the process-wide tuning to a freshly built System. Parallel
-/// ticking requires the dynamic race detector off (the detector records a
-/// serial actor and would see cross-thread accesses as races); the shipped
-/// configurations are shuffle-clean, so this is safe.
+/// Applies the process-wide tuning to a freshly built System.
 void
 apply_tuning(System& sys) {
     sys.kernel().set_idle_skip(g_tuning.idle_skip);
     sys.kernel().set_commit_compat(g_tuning.commit_compat);
-    if (g_tuning.parallel_ticks > 1) {
-        sys.kernel().set_race_check(false);
-        sys.kernel().set_parallel_ticks(g_tuning.parallel_ticks);
-    }
     // Latent request: installs at the first run_cycles() after the traffic
     // sources exist (System::try_install_decoupled).
     if (g_tuning.shards > 1)

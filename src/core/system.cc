@@ -1,6 +1,7 @@
 #include "core/system.h"
 
 #include <cstring>
+#include <thread>
 #include <unordered_map>
 
 #include "sim/log.h"

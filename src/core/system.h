@@ -137,8 +137,7 @@ class System {
     /// latent: installation happens at the next run_cycles() once the
     /// netlist includes the traffic sources (certifying during boot would
     /// see only the DUT atom). `workers` > 1 additionally partitions the
-    /// DUT shard's tick phase over that many threads (the sanctioned
-    /// composition with set_parallel_ticks); 0 picks a default.
+    /// DUT shard's tick phase over that many threads; 0 picks a default.
     /// `shards` <= 1 is the null plan: the barrier kernel, bit-identical
     /// to a serial run by definition. Structural obstacles (an unsound
     /// plan, the hardware reassembler, packet observers, an unsupported

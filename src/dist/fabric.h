@@ -246,7 +246,8 @@ class Fabric : public sim::Component {
     uint32_t egress_pkts_dest_[kSourceCount] = {0, 0, 0, 0};  ///< per destination
     /// Set by any queue mutation whose effect commit() must integrate or
     /// re-snapshot; atomic because producers (traffic sources, RPU TX
-    /// engines) may run on pool threads under the parallel executor.
+    /// engines) may run on other shard threads under the decoupled
+    /// executor.
     std::atomic<bool> commit_dirty_{false};
 
     std::vector<std::deque<TimedPkt>> egress_queues_;  ///< per RPU

@@ -11,6 +11,7 @@ TrafficSource::TrafficSource(sim::Kernel& kernel, sim::Stats& stats, const Confi
       gen_(std::move(gen)),
       bytes_per_cycle_(config.line_gbps * 1e9 / 8.0 / sim::kClockHz * config.load),
       pps_per_cycle_(config.max_pps > 0 ? config.max_pps / sim::kClockHz : 0.0) {
+    self_advancing_ = true;  // idle_horizon() + on_wake() replay
     // We are the wire side of this port's MAC RX FIFO.
     kernel.declare_port({name(), "fabric.mac_rx.p" + std::to_string(config.port),
                          sim::PortRecord::kWrite, 512, 0});
@@ -62,14 +63,13 @@ TrafficSource::decoupled_runnable(sim::Cycle t) const {
 }
 
 sim::Cycle
-TrafficSource::decoupled_lookahead() const {
-    constexpr sim::Cycle kForever = ~sim::Cycle(0) >> 1;
-    if (config_.max_packets && offered_ >= config_.max_packets) return kForever;
+TrafficSource::idle_horizon() const {
+    if (config_.max_packets && offered_ >= config_.max_packets) return sim::kForever;
     if (!staged_) return 0;  // next tick must call gen_() — run it live
     double n = 0.0;
     const double need = double(staged_->wire_size()) - tokens_;
     if (need > 0.0) {
-        if (bytes_per_cycle_ <= 0.0) return kForever;  // load 0: never emits
+        if (bytes_per_cycle_ <= 0.0) return sim::kForever;  // load 0: never emits
         n = need / bytes_per_cycle_ - 2.0;
     }
     if (pps_per_cycle_ > 0 && pps_tokens_ < 1.0) {
@@ -78,11 +78,15 @@ TrafficSource::decoupled_lookahead() const {
         if (n2 > n) n = n2;
     }
     if (n <= 0.0) return 0;
+    // A finite but astronomically long wait (a near-zero rate): promise a
+    // shorter window rather than overflow the conversion.
+    constexpr sim::Cycle kLongest = sim::Cycle(1) << 62;
+    if (n >= double(kLongest)) return kLongest;
     return sim::Cycle(n);
 }
 
 void
-TrafficSource::decoupled_advance(sim::Cycle n) {
+TrafficSource::on_wake(sim::Cycle n) {
     if (config_.max_packets && offered_ >= config_.max_packets) return;
     // Exact replay of tick()'s non-emitting path (the lookahead contract
     // guarantees no emission threshold is reached inside this window).
@@ -100,7 +104,6 @@ TrafficSource::set_cut_channel(sim::CutChannel<net::PacketPtr>* ch,
                                uint64_t mac_rx_fifo_bytes) {
     cut_ = ch;
     cut_fifo_bytes_ = mac_rx_fifo_bytes;
-    decoupled_gated_ = true;
     if (ch && ctr_rx_frames_ == nullptr) {
         // Same counters Fabric::mac_rx increments (Stats handles are
         // node-stable; Fabric resolved these names at construction).

@@ -57,14 +57,19 @@ class TrafficSource : public sim::Component {
     /// Cycles this source can provably spend accumulating tokens without
     /// emitting (conservative: two cycles under the analytic first-emission
     /// point, so float replay can never cross the threshold early).
-    sim::Cycle decoupled_lookahead() const override;
-
-    /// Bit-exact replay of `n` non-emitting ticks (the token additions the
-    /// barrier kernel would have performed, in the same order — never
-    /// summarized as tokens + n*rate, which differs in floating point).
-    void decoupled_advance(sim::Cycle n) override;
+    sim::Cycle idle_horizon() const override;
 
     uint64_t offered() const { return offered_; }
+    /// Line-byte credit in the token bucket (bit-exact replay is tested).
+    double tokens() const { return tokens_; }
+
+ protected:
+    /// Bit-exact replay of `n` non-emitting ticks (the token additions the
+    /// live ticks would have performed, in the same order — never
+    /// summarized as tokens + n*rate, which differs in floating point).
+    void on_wake(sim::Cycle n) override;
+
+ public:
     uint64_t dropped_at_mac() const { return dropped_; }
 
     /// Decoupled-mode endpoint (DESIGN.md §16): while a decoupled run is

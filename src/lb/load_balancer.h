@@ -174,8 +174,8 @@ class LoadBalancer {
     sim::Counter* ctr_reasm_stale_;
 
     /// Serializes tick-phase staging (RPU control callbacks) and the
-    /// reassembler flow table (mac_rx runs from multiple traffic sources
-    /// under the parallel tick executor). The staged vectors are applied
+    /// reassembler flow table (RPU ticks may run on several threads of a
+    /// decoupled shard). The staged vectors are applied
     /// in a sorted, arrival-order-independent order at the clock edge, so
     /// the lock only guards memory, not determinism.
     mutable std::mutex mu_;

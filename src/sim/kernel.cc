@@ -1,6 +1,7 @@
 #include "sim/kernel.h"
 
 #include <algorithm>
+#include <thread>
 #include <unordered_map>
 
 #include "sim/log.h"
@@ -9,6 +10,9 @@
 namespace rosebud::sim {
 
 namespace {
+
+/// Shortest idle horizon worth a timer (see Kernel::sleep_sweep).
+constexpr Cycle kMinTimedSleep = 4;
 
 inline void
 cpu_pause() {
@@ -81,7 +85,7 @@ TelemetrySink::net_event(NetId net, NetEvent ev) {
 
 Kernel::Kernel() = default;
 
-Kernel::~Kernel() { stop_pool(); }
+Kernel::~Kernel() = default;
 
 void
 Kernel::note_wake(Component& c) {
@@ -92,13 +96,13 @@ Kernel::note_wake(Component& c) {
         // A wake during the tick (or, defensively, commit) phase defers
         // the first scheduled tick to the next cycle: the sleeper could
         // not have observed the producer's staged output anyway, and
-        // deferring keeps every schedule (serial, shuffled, parallel)
-        // bit-identical regardless of whether the sleeper's partition
-        // slot had already been passed. The skipped window — *including*
-        // the current cycle — is accounted right here, while committed
-        // state is still exactly what the sleeper would have observed
-        // live (the producer's effect is only staged); its commit() still
-        // runs this cycle, integrating any state the producer handed over.
+        // deferring keeps every tick order bit-identical regardless of
+        // whether the sleeper's slot had already been passed. The skipped
+        // window — *including* the current cycle — is accounted right
+        // here, while committed state is still exactly what the sleeper
+        // would have observed live (the producer's effect is only staged);
+        // its commit() still runs this cycle, integrating any state the
+        // producer handed over.
         const Cycle t = now();
         if (c.unaccounted_) {
             Cycle skipped = t + 1 - c.sleep_since_;
@@ -113,6 +117,7 @@ Kernel::note_wake(Component& c) {
         // change sleeper-visible state call flush_skipped() first).
         c.wake_at_.store(now(), std::memory_order_relaxed);
     }
+    c.deadline_ = kForever;  // an early wake cancels the timer
     awake_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -146,8 +151,12 @@ Kernel::wake_all() {
             c->wake_at_.store(now_, std::memory_order_relaxed);
             awake_count_.fetch_add(1, std::memory_order_relaxed);
         }
+        c->deadline_ = kForever;
+        c->in_timers_ = false;
         flush_wake_accounting(c);
     }
+    timers_.clear();
+    next_deadline_ = kForever;
 }
 
 void
@@ -158,18 +167,58 @@ Kernel::set_idle_skip(bool on) {
 
 void
 Kernel::sleep_sweep() {
+    const bool timed = timed_sleep_ && !commit_compat_;
     for (Component* c : components_) {
         if (!c->awake_.load(std::memory_order_relaxed)) continue;
         // Just-woken components get one tick before they may sleep again.
         if (c->wake_at_.load(std::memory_order_relaxed) >= now_) continue;
-        if (!c->quiescent()) continue;
+        Cycle deadline = kForever;
+        if (!c->quiescent()) {
+            // Timed sleep until the promise runs out. Short windows are
+            // not worth the wake (sweeps run every 4th cycle anyway).
+            if (!timed || !c->self_advancing_) continue;
+            const Cycle h = c->idle_horizon();
+            if (h < kMinTimedSleep) continue;
+            deadline = h >= kForever - now_ ? kForever : now_ + h;
+        }
         c->awake_.store(false, std::memory_order_relaxed);
         awake_count_.fetch_sub(1, std::memory_order_relaxed);
         if (!c->unaccounted_) {
             c->sleep_since_ = now_;  // now_ is already the next cycle here
             c->unaccounted_ = true;
         }
+        if (deadline == kForever) continue;
+        c->deadline_ = deadline;
+        if (!c->in_timers_) {
+            c->in_timers_ = true;
+            timers_.push_back(c);
+        }
+        if (deadline < next_deadline_) next_deadline_ = deadline;
     }
+}
+
+/// Host-phase wake of the due timer sleepers (every one if `all`): each
+/// ticks this cycle after on_wake() replays its window.
+void
+Kernel::wake_timers(bool all) {
+    Cycle next = kForever;
+    size_t keep = 0;
+    for (Component* c : timers_) {
+        if (c->deadline_ == kForever) {
+            c->in_timers_ = false;  // cancelled by an early wake
+        } else if (all || c->deadline_ <= now_) {
+            c->deadline_ = kForever;
+            c->in_timers_ = false;
+            c->awake_.store(true, std::memory_order_relaxed);
+            c->wake_at_.store(now_, std::memory_order_relaxed);
+            awake_count_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            if (c->deadline_ < next) next = c->deadline_;
+            timers_[keep++] = c;
+        }
+    }
+    timers_.resize(keep);
+    next_deadline_ = next;
 }
 
 void
@@ -198,60 +247,6 @@ Kernel::build_wake_map() {
 }
 
 void
-Kernel::tick_partition(unsigned part, unsigned nparts) {
-    const Cycle now = now_;
-    for (size_t i = part; i < components_.size(); i += nparts) {
-        Component* c = components_[i];
-        if (!c->awake_.load(std::memory_order_relaxed)) continue;
-        if (c->wake_at_.load(std::memory_order_relaxed) > now) continue;
-        flush_wake_accounting(c);
-        c->tick();
-    }
-}
-
-void
-Kernel::stop_pool() {
-    if (workers_.empty()) return;
-    {
-        std::lock_guard<std::mutex> lock(pool_mu_);
-        pool_stop_ = true;
-    }
-    pool_start_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
-    pool_stop_ = false;
-}
-
-void
-Kernel::set_parallel_ticks(unsigned n) {
-    if (n == parallel_ticks_) return;
-    stop_pool();
-    parallel_ticks_ = n;
-    if (n <= 1) return;
-    workers_.reserve(n - 1);
-    for (unsigned w = 1; w < n; ++w) {
-        workers_.emplace_back([this, w, n] {
-            uint64_t seen = 0;
-            for (;;) {
-                {
-                    std::unique_lock<std::mutex> lock(pool_mu_);
-                    pool_start_cv_.wait(
-                        lock, [&] { return pool_stop_ || pool_gen_ != seen; });
-                    if (pool_stop_) return;
-                    seen = pool_gen_;
-                }
-                tick_partition(w, n);
-                {
-                    std::lock_guard<std::mutex> lock(pool_mu_);
-                    --pool_pending_;
-                }
-                pool_done_cv_.notify_one();
-            }
-        });
-    }
-}
-
-void
 Kernel::step() {
     if (!prestep_done_) {
         prestep_done_ = true;
@@ -259,36 +254,19 @@ Kernel::step() {
     }
     const bool skipping = idle_skip_effective();
     if (skipping && !wake_map_built_) build_wake_map();
+    if (now_ >= next_deadline_) wake_timers(false);
 
     phase_ = Phase::kTick;
-    if (parallel_effective() && !workers_.empty()) {
-        // active_ stays null: parallel ticking implies race_check_ off, so
-        // nothing consults the actor. The pool handshake's mutex gives the
-        // needed happens-before edges in both directions.
-        const unsigned nparts = unsigned(workers_.size()) + 1;
-        {
-            std::lock_guard<std::mutex> lock(pool_mu_);
-            ++pool_gen_;
-            pool_pending_ = nparts - 1;
-        }
-        pool_start_cv_.notify_all();
-        tick_partition(0, nparts);
-        {
-            std::unique_lock<std::mutex> lock(pool_mu_);
-            pool_done_cv_.wait(lock, [&] { return pool_pending_ == 0; });
-        }
-    } else {
-        for (Component* c : components_) {
-            if (!c->awake_.load(std::memory_order_relaxed)) continue;
-            if (c->wake_at_.load(std::memory_order_relaxed) > now_) continue;
-            // Set the actor before flushing: on_wake() may replay component
-            // ticks that touch the component's own FIFOs.
-            active_ = c;
-            flush_wake_accounting(c);
-            c->tick();
-        }
-        active_ = nullptr;
+    for (Component* c : components_) {
+        if (!c->awake_.load(std::memory_order_relaxed)) continue;
+        if (c->wake_at_.load(std::memory_order_relaxed) > now_) continue;
+        // Set the actor before flushing: on_wake() may replay component
+        // ticks that touch the component's own FIFOs.
+        active_ = c;
+        flush_wake_accounting(c);
+        c->tick();
     }
+    active_ = nullptr;
 
     phase_ = Phase::kCommit;
     for (Component* c : components_) {
@@ -380,7 +358,7 @@ Kernel::set_shard_spec(ShardSpec spec) {
         sr->tick_workers = sh.tick_workers;
         sr->commits_always_clocked = (s == spec_->primary);
         for (Component* c : sr->comps)
-            if (c->decoupled_gated_) sr->gated.push_back(c);
+            if (c->self_advancing_) sr->gated.push_back(c);
         shard_runs_.push_back(std::move(sr));
     }
     return {};
@@ -469,7 +447,7 @@ Kernel::shard_sleep_sweep(ShardRun& sr, Cycle next) {
 /// Returns true if any progress — executed or skipped cycles — was made.
 ///
 /// The fast path is the *time skip*: when every component of the shard is
-/// either asleep or promises pure time advance (decoupled_lookahead), and
+/// either asleep or promises pure time advance (idle_horizon), and
 /// every inbound cut channel is provably quiet over a window (no pending
 /// tag, producer progress past it), the window collapses into one cursor
 /// jump. This is the payoff of local clocks: the barrier kernel can only
@@ -527,8 +505,7 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
             if (!c->awake_.load(std::memory_order_relaxed)) continue;
             const Cycle wa = c->wake_at_.load(std::memory_order_relaxed);
             const Cycle la =
-                wa > t ? wa - t
-                       : (c->decoupled_gated_ ? c->decoupled_lookahead() : 0);
+                wa > t ? wa - t : (c->self_advancing_ ? c->idle_horizon() : 0);
             if (la < skip) skip = la;
         }
         for (CutChannelBase* ch : sr.in_channels) {
@@ -564,7 +541,9 @@ Kernel::advance_shard(ShardRun& sr, Cycle budget) {
             for (Component* c : sr.comps) {
                 if (!c->awake_.load(std::memory_order_relaxed)) continue;
                 if (c->wake_at_.load(std::memory_order_relaxed) > t) continue;
-                if (c->decoupled_gated_) c->decoupled_advance(skip);
+                if (!c->self_advancing_) continue;
+                flush_wake_accounting(c);
+                c->on_wake(skip);
             }
             sr.cur = t + skip;
             sr.local_now.store(sr.cur, std::memory_order_relaxed);
@@ -653,9 +632,9 @@ Kernel::run_shard_threaded(ShardRun& sr) {
     std::vector<std::thread> helpers;
     helpers.reserve(nw - 1);
     if (nw > 1) {
-        // Intra-shard tick helpers: the parallel tick executor scoped to
-        // this shard's component slice (legal for the same reason as
-        // set_parallel_ticks — ticks only read committed state).
+        // Intra-shard tick helpers: this shard's component slice ticked by
+        // several threads (legal because ticks only read committed state
+        // and stage through registered primitives).
         sr.helpers_stop.store(false, std::memory_order_relaxed);
         sr.helpers_active = true;
         for (unsigned w = 1; w < nw; ++w) {
@@ -727,8 +706,10 @@ Kernel::run_decoupled(Cycle cycles) {
     if (covered != components_.size())
         fatal("kernel: component registered after shard spec install");
     // Sleep state carries across the run boundary (clocks agree between
-    // runs), but sleeping needs the wake edges resolved.
+    // runs), but sleeping needs the wake edges resolved. The shard runner
+    // arms no timers: it batches idle windows through its own lookahead.
     if (idle_skip_ && !wake_map_built_) build_wake_map();
+    wake_timers(true);
     const Cycle start = now_;
     const Cycle end = now_ + cycles;
     for (const auto& sr : shard_runs_) {
@@ -789,13 +770,11 @@ Kernel::run(Cycle cycles) {
     }
     const Cycle end = now_ + cycles;
     while (now_ < end) {
-        if (prestep_done_ && idle_skip_effective() &&
-            awake_count_.load(std::memory_order_relaxed) == 0) {
-            // Whole-system quiescence: nothing can wake without a
-            // host-side call, which cannot happen inside this loop.
-            fast_forwarded_ += end - now_;
-            now_ = end;
-            break;
+        const Cycle until = std::min(quiet_until(), end);
+        if (until > now_) {
+            fast_forwarded_ += until - now_;
+            now_ = until;
+            continue;
         }
         step();
     }

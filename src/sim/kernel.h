@@ -20,37 +20,29 @@
 ///    netlist (nets + directed ports) that the static checker in
 ///    src/lint/ validates before cycle 0.
 ///
-/// Host-speed machinery (DESIGN.md §11):
-///  * **Quiescence skipping** — a component may override `quiescent()` to
-///    report that, absent new input, its tick()/commit() have no observable
-///    effect. The kernel keeps an active set; sleeping components are not
-///    ticked. Wake edges derived from the elaboration netlist (plus
-///    explicit `wake()` calls on direct-call boundaries) re-activate a
-///    consumer the moment a producer stages input for it. When *every*
-///    component is asleep the run loop fast-forwards the cycle counter in
-///    one step. Skipping is exact by construction and is automatically
-///    disabled while a TelemetrySink is attached (per-cycle event streams
-///    must see every cycle).
-///  * **Parallel tick execution** — `set_parallel_ticks(N)` partitions the
-///    tick phase across a small persistent thread pool; commits stay
-///    serial. Legal because the race detector enforces that ticks only
-///    read registered (committed) state, so tick order — and therefore
-///    tick concurrency — cannot be observed. Automatically falls back to
-///    serial while race checking is enabled (the detector needs a single
-///    attributable actor) or a TelemetrySink is attached (deterministic
-///    event order).
+/// Execution regimes (DESIGN.md §11), all bit-identical by test:
+///  * **Tuned** (the default) — only what can act is ticked. A component
+///    reporting `quiescent()` sleeps until a netlist wake edge (or an
+///    explicit `wake()`) delivers input; a self-advancing one (a paced
+///    traffic source) sleeps on a *timer* through the ticks it promised
+///    are pure time advance and replays them in on_wake(). While every
+///    component sleeps, run() jumps to the next timer, health-probe
+///    deadline or the run's end. Off while a TelemetrySink is attached.
+///  * **Commit-compat reference** — `set_commit_compat(true)`: the
+///    pre-fast-path per-cycle regime, for A/B benchmarking only.
+///  * **Time-decoupled shards** — `set_shard_spec` (sim/shard.h, §16):
+///    its low-load win is the idle-window batching timed sleep now gives
+///    the serial kernel, so it awaits re-measurement against tuned.
 
 #ifndef ROSEBUD_SIM_KERNEL_H
 #define ROSEBUD_SIM_KERNEL_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +67,10 @@ inline constexpr double cycles_to_us(Cycle c) { return double(c) * kNsPerCycle /
 
 /// Convert a cycle count to seconds of simulated time.
 inline constexpr double cycles_to_s(Cycle c) { return double(c) / kClockHz; }
+
+/// A time that never comes: an idle horizon with no end (the component
+/// acts again only on input), or a timer that is not set.
+inline constexpr Cycle kForever = ~Cycle(0);
 
 /// Anything with per-cycle staged state that must become visible at the
 /// clock edge. Fifos, registers, and components all implement this.
@@ -183,13 +179,13 @@ class Component : public Clocked {
     /// The default keeps the component permanently active.
     virtual bool quiescent() const { return false; }
 
-    /// Re-activate this component. Idempotent and thread safe (callable
-    /// from a concurrent tick partition). A wake issued during the tick
-    /// phase takes effect on the *next* cycle — registered semantics: the
-    /// sleeper could not have observed the producer's staged output this
-    /// cycle anyway — which keeps serial, shuffled, and parallel schedules
-    /// bit-identical. Its commit() still runs this cycle, so staged input
-    /// handed over by a direct call (e.g. begin_rx) is integrated on time.
+    /// Re-activate this component, cancelling any timer. Idempotent and
+    /// thread safe. A wake issued during the tick phase takes effect on
+    /// the *next* cycle — registered semantics: the sleeper could not have
+    /// observed the producer's staged output this cycle anyway — which
+    /// keeps every tick order bit-identical. Its commit() still runs this
+    /// cycle, so staged input handed over by a direct call (e.g. begin_rx)
+    /// is integrated on time.
     void wake();
 
     /// False while the kernel has this component in the skipped set.
@@ -205,10 +201,12 @@ class Component : public Clocked {
     /// Current simulation time, for convenience in subclasses.
     Cycle now() const;
 
-    /// Called (from the owning tick partition or a host-boundary sync)
-    /// with the number of consecutive tick() calls that were skipped while
-    /// asleep, before the next tick runs. Override to keep purely
-    /// time-derived internal state (e.g. a halted core's cycle CSR) exact.
+    /// Called (from the tick loop or a host-boundary sync) with the number
+    /// of consecutive tick() calls that were skipped while asleep, before
+    /// the next tick runs. Override to keep purely time-derived internal
+    /// state (e.g. a halted core's cycle CSR) exact. A self-advancing
+    /// component replays here the ticks idle_horizon() promised, possibly
+    /// split at run() boundaries.
     virtual void on_wake(Cycle skipped_cycles) { (void)skipped_cycles; }
 
     /// Flush this component's skipped-cycle accounting *now*. Host-facing
@@ -217,38 +215,35 @@ class Component : public Clocked {
     /// firmware polls), so the replayed cycles see pre-mutation state.
     void flush_skipped();
 
-    // --- time-decoupled self-advance contract (DESIGN.md §16) ---------------
+    // --- self-advance contract (timed sleep; DESIGN.md §11, §16) ----------
     //
-    // These hooks are consulted only by the decoupled shard runner, and
-    // only for components that opted in by setting decoupled_gated_ (so
-    // the common case pays one flag test, not a virtual call, per cycle).
+    // Consulted only for components that opted in by setting
+    // self_advancing_ (so the common case pays one flag test, not a
+    // virtual call, per sleep sweep).
 
-    /// May local cycle `t` be decided right now? Return false when this
-    /// component's tick at `t` depends on peer-shard state that is not
-    /// yet conservatively bounded (e.g. a cut-FIFO admission too close to
-    /// capacity while the consumer shard is behind). The runner then
-    /// parks this shard until the peer advances.
+    /// How many upcoming ticks, starting at the current cycle, are pure
+    /// internal time advance — no output, no staged state, no
+    /// cross-component effect. The kernel (timer) and the shard runner
+    /// (time skip) replay them through on_wake(), which must reproduce the
+    /// live ticks bit for bit (replay the arithmetic; never summarize
+    /// floating point). 0 is always correct; kForever: never without input.
+    virtual Cycle idle_horizon() const { return 0; }
+
+    /// Decoupled runs only: may local cycle `t` be decided right now?
+    /// Return false when this component's tick at `t` depends on
+    /// peer-shard state that is not yet conservatively bounded (e.g. a
+    /// cut-FIFO admission too close to capacity while the consumer shard
+    /// is behind). The runner then parks this shard until the peer
+    /// advances.
     virtual bool decoupled_runnable(Cycle t) const {
         (void)t;
         return true;
     }
 
-    /// How many upcoming ticks (starting at the shard's current cycle)
-    /// are pure internal time advance — no output, no staged state, no
-    /// cross-component effect. The runner may batch them through
-    /// decoupled_advance() instead of calling tick(). Conservative: 0 is
-    /// always correct.
-    virtual Cycle decoupled_lookahead() const { return 0; }
-
-    /// Replay `n` ticks previously promised by decoupled_lookahead().
-    /// Must reproduce bit-identical internal state to `n` live tick()
-    /// calls (replay the arithmetic; never summarize floating point).
-    virtual void decoupled_advance(Cycle n) { (void)n; }
-
  protected:
-    /// Subclasses overriding the hooks above must set this so the shard
-    /// runner knows to consult them.
-    bool decoupled_gated_ = false;
+    /// Subclasses overriding the hooks above must set this so the kernel
+    /// and the shard runner know to consult them.
+    bool self_advancing_ = false;
 
  private:
     friend class Kernel;
@@ -260,6 +255,8 @@ class Component : public Clocked {
     std::atomic<Cycle> wake_at_{0};  ///< first cycle allowed to tick again
     Cycle sleep_since_ = 0;          ///< first skipped cycle (if unaccounted_)
     bool unaccounted_ = false;       ///< skipped cycles not yet reported
+    Cycle deadline_ = kForever;      ///< timer wake cycle (kForever: none)
+    bool in_timers_ = false;         ///< listed in Kernel::timers_
 };
 
 /// The clock driver: owns the component/clocked registries and advances
@@ -294,37 +291,32 @@ class Kernel {
     }
 
     /// Queue a lazy clocked element for this cycle's clock edge. Idempotent
-    /// per cycle; thread safe (tick partitions may race to queue distinct
-    /// elements — the per-element flag makes the queue duplicate-free and
-    /// fifo/reg commits are mutually independent, so queue order is
-    /// unobservable).
+    /// per cycle; thread safe during a decoupled run (the per-element flag
+    /// makes the queue duplicate-free and fifo/reg commits are mutually
+    /// independent, so queue order is unobservable).
     void request_commit(Clocked* c) {
         if (c->commit_queued_.exchange(true, std::memory_order_relaxed)) return;
         if (decoupled_live_.load(std::memory_order_relaxed)) {
             decoupled_request_commit(c);
             return;
         }
-        if (phase_ == Phase::kTick && parallel_effective()) {
-            std::lock_guard<std::mutex> lock(commit_queue_mu_);
-            commit_queue_.push_back(c);
-        } else {
-            commit_queue_.push_back(c);
-        }
+        commit_queue_.push_back(c);
     }
 
-    /// Advance the simulation by exactly one clock cycle.
+    /// Advance the simulation by exactly one clock cycle. Timer sleepers
+    /// due this cycle wake first (a host-phase wake: they tick this cycle).
     void step();
 
-    /// Advance the simulation by `cycles` clock cycles. When the whole
-    /// system is quiescent (idle skipping on, every component asleep) the
-    /// remaining cycles are fast-forwarded in one jump: nothing can wake
-    /// without a host-side call, which cannot happen inside this loop.
+    /// Advance the simulation by `cycles` clock cycles. While every
+    /// component sleeps, time jumps to the earliest timer or health-probe
+    /// deadline, or the run's end: only a host-side call could wake
+    /// anything sooner, and none can happen inside this loop.
     void run(Cycle cycles);
 
     /// Run until `pred()` returns true or `max_cycles` elapse.
-    /// Returns true if the predicate fired. While the whole system is
-    /// quiescent, cycles advance without tick/commit work but `pred` is
-    /// still evaluated each cycle (it may be time-dependent).
+    /// Returns true if the predicate fired. While the whole system sleeps,
+    /// cycles advance without tick/commit work up to the next deadline,
+    /// but `pred` is still evaluated each cycle (it may be time-dependent).
     template <typename Pred>
     bool run_until(Pred&& pred, Cycle max_cycles) {
         bool hit = false;
@@ -333,9 +325,9 @@ class Kernel {
                 hit = true;
                 break;
             }
-            if (prestep_done_ && idle_skip_effective() &&
-                awake_count_.load(std::memory_order_relaxed) == 0) {
-                ++now_;  // quiescent: the cycle is empty by construction
+            if (now_ < quiet_until()) {
+                ++now_;  // the cycle is empty by construction
+                ++fast_forwarded_;
             } else {
                 step();
             }
@@ -376,8 +368,7 @@ class Kernel {
     bool in_tick() const { return phase() == Phase::kTick; }
 
     /// The component whose tick()/commit() is currently running (null
-    /// between steps, i.e. for host/test code, and null during a parallel
-    /// tick phase — which only happens with race checking off).
+    /// between steps, i.e. for host/test code, and during a decoupled run).
     const Component* active_component() const { return active_; }
 
     /// Enable/disable the dynamic same-cycle race checks in Fifo/Reg.
@@ -391,10 +382,9 @@ class Kernel {
     /// default) disables all event emission; the caller owns the sink and
     /// must detach (or outlive the kernel) before it dies. Events flow from
     /// the registered primitives and instrumented components; end_cycle
-    /// fires once per step after all commits. Attaching a sink disables
-    /// idle skipping and parallel ticking (both accessors below report the
-    /// effective state) so per-cycle accounting stays exact and event
-    /// order deterministic.
+    /// fires once per step after all commits. Attaching a sink wakes every
+    /// sleeper and disables idle skipping (idle_skip_effective() reports
+    /// the effective state) so per-cycle accounting stays exact.
     void set_telemetry(TelemetrySink* sink) {
         if (sink) {
             sink->bind(*this);
@@ -409,10 +399,10 @@ class Kernel {
     /// Attach/detach the always-on health heartbeat (obs::HealthMonitor).
     /// Null (the default) costs one pointer compare per stepped cycle.
     /// Deliberately does NOT wake anything and does NOT disable idle
-    /// skipping or parallel ticking — the probe contract (sim/telemetry.h)
-    /// tolerates fast-forward gaps, which is what keeps the health layer
-    /// within its production overhead budget. The caller owns the probe
-    /// and must detach (or outlive the kernel) before it dies.
+    /// skipping — the probe contract (sim/telemetry.h) tolerates
+    /// fast-forward gaps up to its next_deadline(), which is what keeps the
+    /// health layer within its production overhead budget. The caller owns
+    /// the probe and must detach (or outlive the kernel) before it dies.
     void set_health_probe(HealthProbe* probe) { health_probe_ = probe; }
     HealthProbe* health_probe() const { return health_probe_; }
 
@@ -470,6 +460,7 @@ class Kernel {
     size_t awake_count() const { return awake_count_.load(std::memory_order_relaxed); }
 
     /// Wake every component (and report skipped cycles to each sleeper).
+    /// Pending timers are cancelled.
     void wake_all();
 
     /// Report pending skipped cycles to every sleeper without waking it,
@@ -482,19 +473,8 @@ class Kernel {
     /// system fast-forward (diagnostics for bench_simspeed).
     Cycle fast_forwarded_cycles() const { return fast_forwarded_; }
 
-    // --- parallel tick execution ----------------------------------------------
-
-    /// Partition the tick phase over `n` threads (0 or 1 = serial). The
-    /// pool is persistent; commits and the sleep sweep stay serial.
-    void set_parallel_ticks(unsigned n);
-    unsigned parallel_ticks() const { return parallel_ticks_; }
-
-    /// True when the tick phase actually runs partitioned this step: a
-    /// pool is configured and neither the race detector nor a telemetry
-    /// sink demands single-threaded attribution.
-    bool parallel_effective() const {
-        return parallel_ticks_ > 1 && !race_check_ && telemetry_ == nullptr;
-    }
+    /// Earliest pending timer deadline (kForever: none; may be stale-low).
+    Cycle next_timer() const { return next_deadline_; }
 
     // --- time-decoupled execution (DESIGN.md §16) -----------------------------
 
@@ -503,10 +483,9 @@ class Kernel {
     /// path). Every registered component must appear in exactly one shard.
     /// Returns an empty string on success; otherwise a reason and nothing
     /// is installed. While installed and effective, run() executes each
-    /// shard on its own worker thread under a local cycle counter with
-    /// conservative lookahead synchronization; this supersedes
-    /// set_parallel_ticks at the top level (per-shard tick_workers recover
-    /// intra-shard tick parallelism).
+    /// shard on its own worker thread (or cooperatively, per the spec's
+    /// Exec) under a local cycle counter with conservative lookahead
+    /// synchronization; timer sleepers wake on entry.
     std::string set_shard_spec(ShardSpec spec);
 
     /// Drop the installed spec; run() returns to the barrier executor.
@@ -547,13 +526,18 @@ class Kernel {
 
     /// Emulate the pre-fast-path kernel's per-cycle regime: every clocked
     /// primitive commits every cycle (no lazy commit queue, no identity
-    /// early-outs) and the datapath components drop their occupancy-count
-    /// scan guards. Results are bit-identical either way — this exists so
-    /// bench_simspeed can measure the fast path against an honest
-    /// reference inside one binary. Off by default; never enable outside
-    /// benchmarking.
+    /// early-outs), no component sleeps on a timer, and the datapath
+    /// components drop their occupancy-count scan guards. Results are
+    /// bit-identical either way — this exists so bench_simspeed can
+    /// measure the fast path against an honest reference inside one
+    /// binary. Off by default; never enable outside benchmarking.
     void set_commit_compat(bool on) { commit_compat_ = on; }
     bool commit_compat() const { return commit_compat_; }
+
+    /// Reference-only: turn timed sleep off (on by default), restoring the
+    /// regime bench_cluster keeps as its calibration reference. Results
+    /// are bit-identical either way; armed timers still fire.
+    void set_timed_sleep(bool on) { timed_sleep_ = on; }
 
     // --- tick-order shuffling -------------------------------------------------
 
@@ -631,12 +615,25 @@ class Kernel {
 
     struct ShardRun;
 
+    /// The first cycle that must be stepped: now_ unless everything sleeps,
+    /// else the earliest timer or health-probe deadline (maybe passed).
+    Cycle quiet_until() const {
+        if (!prestep_done_ || !idle_skip_effective() ||
+            awake_count_.load(std::memory_order_relaxed) != 0)
+            return now_;
+        Cycle until = next_deadline_;
+        if (health_probe_) {
+            const Cycle d = health_probe_->next_deadline();
+            if (d < until) until = d;
+        }
+        return until;
+    }
+
     void note_wake(Component& c);
     void flush_wake_accounting(Component* c);
     void sleep_sweep();
+    void wake_timers(bool all);
     void build_wake_map();
-    void tick_partition(unsigned part, unsigned nparts);
-    void stop_pool();
     void decoupled_request_commit(Clocked* c);
     Cycle decoupled_now() const;
     Phase decoupled_phase() const;
@@ -661,19 +658,17 @@ class Kernel {
 
     bool idle_skip_ = true;
     bool commit_compat_ = false;
+    bool timed_sleep_ = true;
     std::atomic<size_t> awake_count_{0};
     Cycle fast_forwarded_ = 0;
 
-    bool wake_map_built_ = false;
+    /// Deadline store: timer sleepers, each listed once (a cancelled entry
+    /// is dropped at the next due scan), plus the cached earliest deadline.
+    /// The scan costs ~0.1% of host time at low load (gprof): no heap.
+    std::vector<Component*> timers_;
+    Cycle next_deadline_ = kForever;
 
-    unsigned parallel_ticks_ = 0;
-    std::vector<std::thread> workers_;
-    std::mutex pool_mu_;
-    std::condition_variable pool_start_cv_;
-    std::condition_variable pool_done_cv_;
-    uint64_t pool_gen_ = 0;
-    unsigned pool_pending_ = 0;
-    bool pool_stop_ = false;
+    bool wake_map_built_ = false;
 
     std::unique_ptr<ShardSpec> spec_;
     std::vector<std::unique_ptr<ShardRun>> shard_runs_;

@@ -249,8 +249,7 @@ struct ShardSpec {
         /// the identity when the shard is asleep and its channels quiet.
         std::function<void(Cycle)> end_hook;
         /// >1 partitions this shard's tick phase over that many threads
-        /// (the sanctioned composition with the parallel tick executor:
-        /// ticks only read committed state, so intra-shard tick order is
+        /// (ticks only read committed state, so intra-shard tick order is
         /// unobservable; commits stay serial per shard). Thread mode only.
         unsigned tick_workers = 0;
     };

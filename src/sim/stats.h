@@ -23,7 +23,7 @@ namespace rosebud::sim {
 /// A monotonically increasing event/byte counter.
 ///
 /// The cell is a relaxed atomic so components ticked on different threads
-/// of the kernel's parallel executor may bump a shared counter (e.g. two
+/// of the decoupled executor may bump a shared counter (e.g. two
 /// RPUs incrementing the same accelerator counter): the final sum is
 /// schedule-independent because addition commutes. On the serial path a
 /// relaxed fetch_add costs the same as the plain add on x86/ARM hot loops.
@@ -93,8 +93,8 @@ class Sampler {
 /// `counter()`/`sampler()` return node-stable references: components cache
 /// the returned handle at elaboration time and bump it directly on the hot
 /// path (no per-event string building or map walk). The find-or-create
-/// lookup itself is mutex-guarded so a cold-path lookup from a parallel
-/// tick partition (e.g. an accelerator lazily resolving its counters) is
+/// lookup itself is mutex-guarded so a cold-path lookup from a decoupled
+/// shard thread (e.g. an accelerator lazily resolving its counters) is
 /// safe; established handles need no lock.
 class Stats {
  public:

@@ -32,7 +32,7 @@
 ///
 /// HealthProbe is the *production* counterpart: where a TelemetrySink wants
 /// the complete per-primitive event stream (and therefore disables idle
-/// skipping and parallel ticking), a HealthProbe only needs a periodic
+/// skipping), a HealthProbe only needs a periodic
 /// heartbeat plus on-demand reads of committed state. Attaching one costs a
 /// single pointer compare per stepped cycle and leaves every kernel fast
 /// path enabled — that is what lets the always-on health layer (obs::
@@ -100,14 +100,15 @@ class TelemetrySink {
 /// Called once at the end of every *stepped* cycle, after all commits (and
 /// after any TelemetrySink's end_cycle). Cycles elided by whole-system
 /// fast-forward are NOT reported individually: by construction nothing can
-/// change during them (every component is asleep and no host call can occur
-/// inside the run loop), so implementations must tolerate gaps in
-/// `completed` and may treat a gap as proof of system-wide idleness.
+/// change during them (every component is asleep and no host call can
+/// occur inside the run loop), so implementations must tolerate gaps in
+/// `completed` and may treat a gap as proof of system-wide idleness. A
+/// jump never crosses next_deadline(): that cycle is stepped.
 ///
 /// Unlike TelemetrySink, attaching a HealthProbe does not disable idle
-/// skipping or parallel ticking, creates no sim::Stats counters, and must
-/// not mutate simulation state — the fingerprint-invariance tests hold with
-/// a probe attached.
+/// skipping, creates no sim::Stats counters, and must not mutate
+/// simulation state — the fingerprint-invariance tests hold with a probe
+/// attached.
 class HealthProbe {
  public:
     virtual ~HealthProbe() = default;
@@ -116,6 +117,10 @@ class HealthProbe {
     /// (Kernel::phase() == kIdle), so committed primitive state may be
     /// read freely.
     virtual void on_cycle(uint64_t completed) = 0;
+
+    /// The next cycle whose on_cycle() must fire even if the whole system
+    /// sleeps (an epoch boundary, a watchdog check); polled before jumps.
+    virtual uint64_t next_deadline() const { return UINT64_MAX; }
 };
 
 }  // namespace rosebud::sim

@@ -5,7 +5,7 @@
 /// The load-bearing property is bit-identical final state: a decoupled run
 /// over a certified ShardPlan must reach exactly the fingerprint the
 /// barrier-synchronous kernel reaches on the same workload, for every
-/// shard count, executor mode, and parallel-tick composition — and the
+/// shard count, executor mode, and threaded-tick composition — and the
 /// dynamic cross-checks must actually catch a lookahead claim the runtime
 /// does not honor (the negative direction, without which the positive
 /// tests prove nothing).
@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/system.h"
@@ -34,10 +35,12 @@ struct RunResult {
     uint64_t fingerprint = 0;
     uint64_t sink_frames = 0;
     uint64_t sink_bytes = 0;
+    std::vector<double> latency;  ///< per delivered frame (filled on request)
     bool decoupled = false;
 };
 
-std::unique_ptr<System> build_system(unsigned rpus, bool hw_reassembler = false) {
+std::unique_ptr<System> build_system(unsigned rpus, bool hw_reassembler = false,
+                                     double load = 0.7) {
     SystemConfig cfg;
     cfg.rpu_count = rpus;
     cfg.hw_reassembler = hw_reassembler;
@@ -52,7 +55,7 @@ std::unique_ptr<System> build_system(unsigned rpus, bool hw_reassembler = false)
         auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
         dist::TrafficSource::Config src;
         src.port = port;
-        src.load = 0.7;
+        src.load = load;
         sys->add_source(src, [gen] { return gen->next(); });
     }
     return sys;
@@ -94,7 +97,7 @@ TEST(Decoupled, EquivalenceAcrossShardCountsAndExecutors) {
         {4, 1, sim::ShardSpec::Exec::kCoop, "4-shard coop"},
         {2, 1, sim::ShardSpec::Exec::kThreads, "2-shard threads"},
         {4, 1, sim::ShardSpec::Exec::kThreads, "4-shard threads"},
-        // Parallel-tick composition: the DUT shard's tick phase split
+        // Threaded-tick composition: the DUT shard's tick phase split
         // over 2 workers on top of the decoupled schedule.
         {4, 2, sim::ShardSpec::Exec::kThreads, "4-shard 2-worker threads"},
     };
@@ -193,6 +196,52 @@ TEST(Decoupled, ShardCheckDecoupledPass) {
         }
     }
     EXPECT_GT(delivered, 0u);
+}
+
+// --- entry from the timed-sleep serial kernel --------------------------------
+
+TEST(Decoupled, EntryWakesTimerSleepers) {
+    // Low load: between frames both sources sleep on timers in the serial
+    // kernel. Entering a decoupled run right then must hand their windows
+    // to the shard runner without losing or repeating a token add.
+    auto run = [](bool decouple) {
+        std::unique_ptr<System> sys = build_system(8, false, 0.005);
+        sys->run_cycles(2'000);
+        auto sleeping_sources = [&] {
+            unsigned n = 0;
+            for (sim::Component* c : sys->kernel().components())
+                if (dynamic_cast<dist::TrafficSource*>(c) && !c->awake()) ++n;
+            return n;
+        };
+        for (int i = 0; i < 5'000 && sleeping_sources() < 2; ++i)
+            sys->run_cycles(1);
+        EXPECT_EQ(sleeping_sources(), 2u);
+        EXPECT_NE(sys->kernel().next_timer(), sim::kForever);
+        if (decouple) {
+            sys->set_decouple_exec(sim::ShardSpec::Exec::kCoop);
+            sys->set_decouple_shards(4, 1);
+        }
+        sys->run_cycles(30'000);
+        RunResult r;
+        r.fingerprint = sys->state_fingerprint();
+        r.decoupled = sys->decoupled_active();
+        for (unsigned port = 0; port < 2; ++port) {
+            r.sink_frames += sys->sink(port).frames();
+            r.sink_bytes += sys->sink(port).bytes();
+            // Frame timestamps come from the replayed token buckets.
+            for (double v : sys->sink(port).latency().samples())
+                r.latency.push_back(v);
+        }
+        return r;
+    };
+    const RunResult barrier = run(false);
+    const RunResult dec = run(true);
+    ASSERT_GT(barrier.sink_frames, 20u);
+    EXPECT_TRUE(dec.decoupled);
+    EXPECT_EQ(dec.fingerprint, barrier.fingerprint);
+    EXPECT_EQ(dec.sink_frames, barrier.sink_frames);
+    EXPECT_EQ(dec.sink_bytes, barrier.sink_bytes);
+    EXPECT_EQ(dec.latency, barrier.latency);
 }
 
 // --- certifier verdict stability (satellite: 8-way no-safe-cut) -------------

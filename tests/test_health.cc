@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/system.h"
 #include "core/tracer.h"
 #include "firmware/programs.h"
+#include "net/tracegen.h"
 #include "obs/harness.h"
 #include "obs/health.h"
 #include "obs/perfetto.h"
@@ -320,6 +323,114 @@ TEST(HealthMonitor, HealthySweepDoesNotTrip) {
     EXPECT_FALSE(r.metrics_prom.empty());
     EXPECT_NE(r.metrics_prom.find("rosebud_health_ingress_packets_total"),
               std::string::npos);
+}
+
+// ------------------------------------------------- timed-sleep invariance
+
+// At low load the kernel jumps over the idle spans between frames (the
+// sources sleep on timers). Epoch boundaries and watchdog checks are keyed
+// to cycles, so a jump must stop at the monitor's next deadline: with timed
+// sleep on or off, every verdict, trip and recorded event is identical.
+TEST(HealthMonitor, TimedSleepLeavesEpochsWatchdogAndRecorderUnchanged) {
+    struct Outcome {
+        std::vector<obs::EpochVerdict> verdicts;
+        std::vector<uint64_t> trip_cycles;
+        std::vector<std::string> trip_text;
+        std::string recorder_text, recorder_json, dump_text, dump_json;
+        uint64_t jumped = 0;
+    };
+    // Trip snapshots also report how many components the kernel is ticking
+    // ("awake=N"): host-kernel state, which differs by design (the sources
+    // tick every cycle with timed sleep off). Everything else must match.
+    auto mask_awake = [](std::string s) {
+        for (size_t at = s.find("awake="); at != std::string::npos;
+             at = s.find("awake=", at + 1)) {
+            size_t end = at + 6;
+            while (end < s.size() && s[end] >= '0' && s[end] <= '9') ++end;
+            s.replace(at + 6, end - at - 6, "N");
+        }
+        return s;
+    };
+    auto run = [&](bool timed) {
+        SystemConfig cfg;
+        cfg.rpu_count = 16;
+        System sys(cfg);
+        sys.kernel().set_timed_sleep(timed);
+        auto fw = fwlib::forwarder();
+        sys.host().load_firmware_all(fw.image, fw.entry);
+        sys.host().boot_all();
+        sys.run_cycles(500);
+
+        obs::HealthConfig hc;
+        hc.epoch_cycles = 3000;  // several epochs per sleep-heavy stretch
+        // One bound holds and one fails, so verdicts carry violation notes.
+        hc.slo = obs::parse_slo("latency_p99 <= 10ms, latency_p50 <= 100c");
+        // A forwarded frame spends ~230 cycles in flight: a tight progress
+        // timeout trips on odd-interval checks inside those windows.
+        hc.watchdog.check_interval = 97;
+        hc.watchdog.progress_timeout = 150;
+        obs::HealthMonitor mon(hc);
+        mon.attach(sys);
+        for (unsigned port = 0; port < 2; ++port) {
+            net::TrafficSpec tspec;
+            tspec.packet_size = 256;
+            tspec.seed = 23 + port;
+            auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
+            sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
+                           [gen] { return gen->next(); });
+        }
+        const uint64_t ff0 = sys.kernel().fast_forwarded_cycles();
+        sys.run_cycles(60'000);
+        mon.flush_epoch();
+
+        Outcome o;
+        o.verdicts = mon.verdicts();
+        for (const obs::WatchdogTrip& t : mon.trips()) {
+            o.trip_cycles.push_back(t.cycle);
+            o.trip_text.push_back(t.what + "|" + t.component + "|" + t.deepest_net +
+                                  "|" + mask_awake(t.snapshot));
+        }
+        o.recorder_text = mon.recorder().dump_text();
+        o.recorder_json = mon.recorder().dump_json();
+        const obs::HealthMonitor::Dump d = mon.dump();
+        o.dump_text = mask_awake(d.text);
+        o.dump_json = mask_awake(d.json);
+        o.jumped = sys.kernel().fast_forwarded_cycles() - ff0;
+        mon.detach();
+        return o;
+    };
+    const Outcome on = run(true);
+    const Outcome off = run(false);
+
+    EXPECT_GT(on.jumped, 20'000u);  // the regime under test
+    EXPECT_EQ(off.jumped, 0u);
+    ASSERT_GE(on.verdicts.size(), 15u);
+    ASSERT_EQ(on.verdicts.size(), off.verdicts.size());
+    bool saw_fail = false;
+    for (size_t i = 0; i < on.verdicts.size(); ++i) {
+        SCOPED_TRACE(i);
+        const obs::EpochVerdict& a = on.verdicts[i];
+        const obs::EpochVerdict& b = off.verdicts[i];
+        EXPECT_EQ(a.start, b.start);
+        EXPECT_EQ(a.end, b.end);
+        EXPECT_EQ(a.offered, b.offered);
+        EXPECT_EQ(a.egress, b.egress);
+        EXPECT_EQ(a.drops, b.drops);
+        EXPECT_EQ(a.p50, b.p50);
+        EXPECT_EQ(a.p99, b.p99);
+        EXPECT_EQ(a.p999, b.p999);
+        EXPECT_EQ(a.violations, b.violations);
+        EXPECT_EQ(a.pass, b.pass);
+        saw_fail = saw_fail || !a.pass;
+    }
+    EXPECT_TRUE(saw_fail);
+    EXPECT_FALSE(on.trip_cycles.empty());
+    EXPECT_EQ(on.trip_cycles, off.trip_cycles);
+    EXPECT_EQ(on.trip_text, off.trip_text);
+    EXPECT_EQ(on.recorder_text, off.recorder_text);
+    EXPECT_EQ(on.recorder_json, off.recorder_json);
+    EXPECT_EQ(on.dump_text, off.dump_text);
+    EXPECT_EQ(on.dump_json, off.dump_json);
 }
 
 // ------------------------------------------------------ host-side query

@@ -3,13 +3,16 @@
 /// The tick/commit path must not touch the heap: per-cycle work runs tens
 /// of millions of times per benchmark, so a single stray allocation (a
 /// string-keyed stats lookup, a per-cycle temporary vector) dominates host
-/// time. This binary overrides global operator new with a counter and
-/// asserts:
+/// time. This binary overrides global operator new with a counter (every
+/// form the program uses, including the nothrow ones std::stable_sort's
+/// temporary buffer takes, so the audit sees every allocation and news and
+/// deletes stay matched under ASan) and asserts:
 ///  * an idle steady-state system (idle skipping disabled, so every
 ///    component really ticks every cycle) performs ZERO allocations — also
 ///    with the stall-attribution telemetry attached;
 ///  * under traffic, allocations are bounded per *packet* (payload buffers,
-///    shared_ptr control blocks), never per cycle.
+///    shared_ptr control blocks), never per cycle — also at low load, where
+///    the sources sleep on timers and the kernel jumps between frames.
 
 #include <gtest/gtest.h>
 
@@ -51,10 +54,24 @@ operator new[](std::size_t n) {
     throw std::bad_alloc();
 }
 
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept {
+    count_alloc();
+    return std::malloc(n ? n : 1);
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+    count_alloc();
+    return std::malloc(n ? n : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace rosebud {
 namespace {
@@ -115,6 +132,60 @@ TEST(HotPath, TrafficAllocationsAreBoundedPerPacket) {
     EXPECT_LT(g_allocs.load(), packets * 64)
         << "allocations grew with cycles, not packets ("
         << g_allocs.load() << " allocs for " << packets << " packets)";
+}
+
+// Timed sleep's cost contract: at low load the sources sleep on timers
+// between frames and the kernel jumps over the idle spans; arming, firing
+// and cancelling those timers must not touch the heap. The simulated
+// per-packet path is identical with timed sleep off, so the two runs must
+// allocate exactly the same — a per-window allocation would show up as a
+// difference of hundreds.
+TEST(HotPath, TimedSleepSteadyStateAllocatesPerPacketOnly) {
+    struct Window {
+        uint64_t allocs = 0;
+        uint64_t packets = 0;
+        sim::Cycle jumped = 0;
+    };
+    auto run = [](bool timed) {
+        auto sys = make_forwarder_system(16);
+        sys->kernel().set_timed_sleep(timed);
+        for (unsigned port = 0; port < 2; ++port) {
+            net::TrafficSpec tspec;
+            tspec.packet_size = 256;
+            tspec.seed = 41 + port;
+            auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
+            sys->add_source({.port = port, .line_gbps = 100.0, .load = 0.005},
+                            [gen] { return gen->next(); });
+        }
+        sys->run_cycles(20'000);  // steady state: timers armed and fired
+
+        const uint64_t frames0 = sys->sink(0).frames() + sys->sink(1).frames();
+        const sim::Cycle ff0 = sys->kernel().fast_forwarded_cycles();
+        g_allocs.store(0);
+        g_counting.store(true);
+        sys->run_cycles(200'000);
+        g_counting.store(false);
+        Window w;
+        w.allocs = g_allocs.load();
+        w.packets = sys->sink(0).frames() + sys->sink(1).frames() - frames0;
+        w.jumped = sys->kernel().fast_forwarded_cycles() - ff0;
+        return w;
+    };
+    const Window on = run(true);
+    const Window off = run(false);
+
+    ASSERT_GT(on.packets, 100u);
+    EXPECT_EQ(on.packets, off.packets);
+    // The regime under test: most of the window was jumped, in many
+    // timer-bounded hops (one per frame gap at least).
+    EXPECT_GT(on.jumped, 100'000u);
+    EXPECT_EQ(off.jumped, 0u);
+    EXPECT_EQ(on.allocs, off.allocs)
+        << "timer bookkeeping allocated (" << on.allocs << " allocs with timed "
+        << "sleep, " << off.allocs << " without)";
+    EXPECT_LT(on.allocs, on.packets * 64)
+        << "allocations grew with cycles, not packets (" << on.allocs
+        << " allocs for " << on.packets << " packets)";
 }
 
 // The production health layer's cost contract: attaching it must not add

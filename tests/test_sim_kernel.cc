@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/system.h"
 #include "firmware/programs.h"
@@ -387,11 +389,10 @@ TEST(Quiescence, RegisteredCreditPopWakesBlockedProducer) {
 // same architectural-state fingerprint, bit for bit.
 
 enum class Sched {
-    kSerial,            ///< default: idle skip + race check, serial ticks
-    kNoIdleSkip,        ///< every component ticked every cycle
-    kCommitCompat,      ///< benchmarking reference regime
-    kParallel,          ///< thread-pool tick executor, 2 workers
-    kShuffledParallel,  ///< permuted partition assignment + 2 workers
+    kSerial,        ///< default: idle skip + timed sleep + race check
+    kNoIdleSkip,    ///< every component ticked every cycle
+    kCommitCompat,  ///< benchmarking reference regime
+    kShuffled,      ///< permuted tick order
 };
 
 uint64_t
@@ -408,12 +409,8 @@ run_sched_fingerprint(Sched s) {
         case Sched::kCommitCompat:
             sys.kernel().set_commit_compat(true);
             break;
-        case Sched::kShuffledParallel:
+        case Sched::kShuffled:
             sys.kernel().shuffle_tick_order(0x5eedf00d);
-            [[fallthrough]];
-        case Sched::kParallel:
-            sys.kernel().set_race_check(false);
-            sys.kernel().set_parallel_ticks(2);
             break;
     }
 
@@ -435,16 +432,268 @@ run_sched_fingerprint(Sched s) {
     return sys.state_fingerprint();
 }
 
-TEST(ScheduleEquivalence, SerialParallelAndShuffledAreBitIdentical) {
+TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kParallel), base);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kShuffledParallel), base);
+    EXPECT_EQ(run_sched_fingerprint(Sched::kShuffled), base);
 }
 
 TEST(ScheduleEquivalence, IdleSkipAndCommitCompatAreBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
     EXPECT_EQ(run_sched_fingerprint(Sched::kNoIdleSkip), base);
     EXPECT_EQ(run_sched_fingerprint(Sched::kCommitCompat), base);
+}
+
+// --- timed sleep ----------------------------------------------------------------
+//
+// A self-advancing component sleeps on a timer through the ticks its
+// idle_horizon() promised and replays them in on_wake(); the kernel jumps
+// over spans where everything sleeps. None of it may change a result.
+
+/// Records the cycle of every P-th tick; the ticks in between only count
+/// (and promise nothing while `busy`).
+class Metronome : public Component {
+ public:
+    Metronome(Kernel& k, Cycle period) : Component(k, "metronome"), period_(period) {
+        self_advancing_ = true;
+    }
+    void tick() override {
+        ++ticks;
+        if (++elapsed_ % period_ == 0) beats.push_back(now());
+    }
+    Cycle idle_horizon() const override {
+        return busy ? 0 : period_ - 1 - elapsed_ % period_;
+    }
+    void on_wake(Cycle n) override { elapsed_ += n; }
+
+    bool busy = false;
+    uint64_t ticks = 0;
+    std::vector<Cycle> beats;
+
+ private:
+    Cycle period_;
+    Cycle elapsed_ = 0;
+};
+
+TEST(TimedSleep, SelfAdvancingComponentReplaysExactly) {
+    auto run = [](bool timed) {
+        Kernel k;
+        k.set_timed_sleep(timed);
+        Metronome m(k, 1000);
+        k.run(10'007);
+        return std::make_tuple(m.beats, m.ticks, k.fast_forwarded_cycles());
+    };
+    auto [beats_on, ticks_on, ff_on] = run(true);
+    auto [beats_off, ticks_off, ff_off] = run(false);
+    ASSERT_EQ(beats_on.size(), 10u);
+    EXPECT_EQ(beats_on, beats_off);
+    EXPECT_EQ(ticks_off, 10'007u);
+    // Asleep between beats: a few live ticks per period, the rest jumped.
+    EXPECT_LT(ticks_on, 200u);
+    EXPECT_GT(ff_on, 9'000u);
+    EXPECT_EQ(ff_off, 0u);
+}
+
+TEST(TimedSleep, EarlyWakeCancelsTheTimer) {
+    Kernel k;
+    Metronome m(k, 1000);
+    k.run(10);
+    ASSERT_FALSE(m.awake());
+    const Cycle deadline = k.next_timer();
+    ASSERT_LT(deadline, 1000u);
+
+    // A host-side wake before the deadline; the component then stays busy.
+    m.busy = true;
+    m.wake();
+    k.run(deadline + 50 - k.now());
+    // The cancelled deadline passed without a second wake of an awake
+    // component (which would double-count it in the active set).
+    EXPECT_TRUE(m.awake());
+    EXPECT_EQ(k.awake_count(), 1u);
+    EXPECT_EQ(k.next_timer(), kForever);
+
+    // Sleeping again arms a fresh timer; wake_all cancels every timer.
+    m.busy = false;
+    k.run(10);
+    ASSERT_FALSE(m.awake());
+    ASSERT_NE(k.next_timer(), kForever);
+    k.set_idle_skip(false);
+    EXPECT_TRUE(m.awake());
+    EXPECT_EQ(k.awake_count(), 1u);
+    EXPECT_EQ(k.next_timer(), kForever);
+    k.run(1000);
+    // Every cycle was a live tick or a replayed one.
+    EXPECT_EQ(m.beats, (std::vector<Cycle>{999, 1999}));
+}
+
+enum class Timed {
+    kOn,          ///< default: idle skip + timed sleep
+    kOff,         ///< idle skip, sources tick every cycle
+    kNoIdleSkip,  ///< every component ticked every cycle
+};
+
+struct LowLoadResult {
+    uint64_t fingerprint = 0;
+    uint64_t offered = 0;
+    uint64_t frames = 0;
+    std::vector<double> latency;  ///< per delivered frame, both sinks
+    std::vector<double> tokens;   ///< per source: the bucket, bit for bit
+    Cycle fast_forwarded = 0;
+
+    bool operator==(const LowLoadResult& o) const {
+        return fingerprint == o.fingerprint && offered == o.offered &&
+               frames == o.frames && latency == o.latency && tokens == o.tokens;
+    }
+};
+
+/// The low-load regime timed sleep targets: 16-RPU forwarder, 256 B
+/// frames on both ports at 0.6% of line rate (0.3 B/cycle, which binary
+/// floating point cannot represent: a replay summarized as n * rate
+/// would round differently from the live adds).
+std::unique_ptr<rosebud::System>
+make_low_load(Timed t, uint64_t shuffle_seed) {
+    rosebud::SystemConfig cfg;
+    cfg.rpu_count = 16;
+    auto sys = std::make_unique<rosebud::System>(cfg);
+    if (shuffle_seed) sys->kernel().shuffle_tick_order(shuffle_seed);
+    if (t == Timed::kOff) sys->kernel().set_timed_sleep(false);
+    if (t == Timed::kNoIdleSkip) sys->kernel().set_idle_skip(false);
+    auto fw = rosebud::fwlib::forwarder();
+    sys->host().load_firmware_all(fw.image, fw.entry);
+    sys->host().boot_all();
+    for (unsigned port = 0; port < 2; ++port) {
+        rosebud::net::TrafficSpec tspec;
+        tspec.packet_size = 256;
+        tspec.seed = 17 + port;
+        auto gen =
+            std::make_shared<rosebud::net::TraceGenerator>(tspec, nullptr, nullptr);
+        sys->add_source({.port = port, .line_gbps = 100.0, .load = 0.006},
+                        [gen] { return gen->next(); });
+    }
+    return sys;
+}
+
+/// Run `total` cycles as run() calls of `chunk` cycles (0 = one call).
+LowLoadResult
+run_low_load(Timed t, uint64_t shuffle_seed = 0, Cycle total = 60'000,
+             Cycle chunk = 0) {
+    auto sys = make_low_load(t, shuffle_seed);
+    if (chunk == 0) chunk = total;
+    for (Cycle done = 0; done < total; done += chunk)
+        sys->run_cycles(std::min(chunk, total - done));
+    LowLoadResult r;
+    r.fingerprint = sys->state_fingerprint();
+    for (Component* c : sys->kernel().components()) {
+        if (auto* src = dynamic_cast<rosebud::dist::TrafficSource*>(c)) {
+            r.offered += src->offered();
+            r.tokens.push_back(src->tokens());
+        }
+    }
+    for (unsigned port = 0; port < 2; ++port) {
+        r.frames += sys->sink(port).frames();
+        for (double v : sys->sink(port).latency().samples()) r.latency.push_back(v);
+    }
+    r.fast_forwarded = sys->kernel().fast_forwarded_cycles();
+    return r;
+}
+
+TEST(TimedSleep, OnOffAndNoIdleSkipAreBitIdenticalAcrossTickOrders) {
+    const LowLoadResult base = run_low_load(Timed::kOn);
+    ASSERT_GT(base.frames, 50u);
+    // The whole system sleeps between frames: most cycles are jumped.
+    EXPECT_GT(base.fast_forwarded, 30'000u);
+    const LowLoadResult off = run_low_load(Timed::kOff);
+    EXPECT_TRUE(off == base);
+    EXPECT_EQ(off.fast_forwarded, 0u);  // sources tick every cycle
+    EXPECT_TRUE(run_low_load(Timed::kNoIdleSkip) == base);
+    for (uint64_t seed : {0x5eedf00dull, 0xc0ffeeull}) {
+        SCOPED_TRACE(seed);
+        EXPECT_TRUE(run_low_load(Timed::kOn, seed) == base);
+        EXPECT_TRUE(run_low_load(Timed::kOff, seed) == base);
+    }
+}
+
+TEST(TimedSleep, ChoppedRunsSplitSleepWindowsExactly) {
+    // Every run() boundary syncs sleepers (on_wake mid-window), so short
+    // and odd-length runs cut the timers' windows at arbitrary points.
+    const LowLoadResult base = run_low_load(Timed::kOn, 0, 20'000);
+    ASSERT_GT(base.frames, 10u);
+    for (Cycle chunk : {Cycle(1), Cycle(7), Cycle(1009)}) {
+        SCOPED_TRACE(chunk);
+        const LowLoadResult r = run_low_load(Timed::kOn, 0, 20'000, chunk);
+        EXPECT_TRUE(r == base);
+    }
+    EXPECT_GT(run_low_load(Timed::kOn, 0, 20'000, 1009).fast_forwarded, 5'000u);
+}
+
+TEST(TimedSleep, RunUntilFiresOnTheSteppedCycle) {
+    // A time-dependent predicate that turns true inside a sleep window:
+    // run_until must stop on exactly the cycle step-by-step stepping does.
+    auto frames = [](rosebud::System& sys) {
+        return sys.sink(0).frames() + sys.sink(1).frames();
+    };
+    auto make_pred = [&](rosebud::System& sys) {
+        return [&sys, frames] {
+            return frames(sys) >= 3 && sys.kernel().now() % 97 == 0;
+        };
+    };
+
+    auto stepped = make_low_load(Timed::kOn, 0);
+    auto pred_s = make_pred(*stepped);
+    stepped->run_cycles(1);  // elaborate (the same on both sides)
+    while (!pred_s()) stepped->kernel().step();
+    const Cycle fired_at = stepped->kernel().now();
+
+    auto jumped = make_low_load(Timed::kOn, 0);
+    jumped->run_cycles(1);
+    const Cycle ff0 = jumped->kernel().fast_forwarded_cycles();
+    ASSERT_TRUE(jumped->kernel().run_until(make_pred(*jumped), 100'000));
+    EXPECT_EQ(jumped->kernel().now(), fired_at);
+    EXPECT_GT(jumped->kernel().fast_forwarded_cycles(), ff0);
+
+    // Both continue identically from there.
+    stepped->run_cycles(10'000);
+    jumped->run_cycles(10'000);
+    EXPECT_EQ(jumped->state_fingerprint(), stepped->state_fingerprint());
+    EXPECT_EQ(frames(*jumped), frames(*stepped));
+}
+
+TEST(TimedSleep, LoadZeroAndCappedSourcesSleepForever) {
+    // A load-0 source promises kForever and a capped source that is done
+    // is quiescent: neither may arm a timer (now + kForever would wrap to
+    // a deadline in the past and wake them every sweep).
+    auto run = [](bool timed) {
+        rosebud::SystemConfig cfg;
+        cfg.rpu_count = 4;
+        rosebud::System sys(cfg);
+        sys.kernel().set_timed_sleep(timed);
+        auto fw = rosebud::fwlib::forwarder();
+        sys.host().load_firmware_all(fw.image, fw.entry);
+        sys.host().boot_all();
+        rosebud::net::TrafficSpec tspec;
+        tspec.seed = 9;
+        auto gen =
+            std::make_shared<rosebud::net::TraceGenerator>(tspec, nullptr, nullptr);
+        auto& idle = sys.add_source({.port = 0, .load = 0.0},
+                                    [gen] { return gen->next(); });
+        auto& capped = sys.add_source({.port = 1, .load = 0.5, .max_packets = 3},
+                                      [gen] { return gen->next(); });
+        sys.run_cycles(200'000);
+        EXPECT_EQ(idle.offered(), 0u);
+        EXPECT_EQ(capped.offered(), 3u);
+        EXPECT_FALSE(capped.awake());
+        if (timed) {
+            EXPECT_FALSE(idle.awake());
+            EXPECT_EQ(sys.kernel().awake_count(), 0u);
+            EXPECT_EQ(sys.kernel().next_timer(), kForever);
+        }
+        return std::make_pair(sys.state_fingerprint(),
+                              sys.kernel().fast_forwarded_cycles());
+    };
+    auto [fp_on, ff_on] = run(true);
+    auto [fp_off, ff_off] = run(false);
+    EXPECT_EQ(fp_on, fp_off);
+    EXPECT_GT(ff_on, 190'000u);
+    EXPECT_EQ(ff_off, 0u);  // an uncapped load-0 source is never quiescent
 }
 
 TEST(Resources, Arithmetic) {
