@@ -1,26 +1,19 @@
-/// Multi-board cluster simulation benchmark (ROADMAP item 1).
+/// Multi-board cluster simulation benchmark (DESIGN.md §16).
 ///
 /// Sweeps 1/2/4/8 boards behind the flow-consistent ECMP front end, every
-/// board simulated as an independent time-decoupled shard group over the
-/// certified ShardPlan (DESIGN.md §16). Reports aggregate delivered Gbps
-/// and the host-time speedup of the cluster pass over per-board serial
-/// tuned runs of the same flow subsets. Correctness is gated, not
-/// assumed: every board's fingerprint must be bit-identical to its
-/// standalone serial reference, and the decoupled executor must actually
-/// have installed (a silent serial fallback would fake a 1.0x "speedup").
+/// board simulated as an independent run on the default kernel (tuned,
+/// timed sleep on). Reports aggregate delivered Gbps and the host-time
+/// speedup of the cluster pass over per-board reference runs of the same
+/// flow subsets. Correctness is gated, not assumed: every board's
+/// fingerprint must be bit-identical to its standalone reference.
 ///
-/// The serial reference is the tuned kernel with timed sleep off — the
-/// regime before timed sleep — so the speedup columns and the regression
-/// gate's machine-speed calibration row keep their meaning. The headline
-/// row is the single-board 4-shard run: the time-decoupled coop executor
-/// must beat that reference by >= 1.5x on this low-duty workload with
-/// byte-identical results. The `timed-sleep` row runs the same workload on
-/// the default serial kernel (timed sleep on) and must also beat the
-/// reference by >= 1.5x; the decoupled-vs-timed-sleep ratio is printed,
-/// gated only on fingerprints. A saturated row (load 0.7) is included for
-/// honesty — when the DUT is busy every cycle there is no idle time to
-/// batch away and decoupling is throughput-neutral, which the
-/// PERFORMANCE.md section documents.
+/// The reference is the tuned kernel with timed sleep off — the regime
+/// before timed sleep — so the speedup columns and the regression gate's
+/// machine-speed calibration row keep their meaning. Every low-load row
+/// must beat that reference by >= 1.5x; the headline `timed-sleep` row is
+/// the best of three single-board runs. A saturated row (load 0.7) is
+/// included for honesty — when the DUT is busy every cycle there is no
+/// idle time to sleep through, which the PERFORMANCE.md section documents.
 ///
 /// Set ROSEBUD_BENCH_JSON=<dir> for machine-readable rows
 /// (bench/check_regression.py gates them against baselines/cluster.json).
@@ -44,12 +37,7 @@ base_params(sim::Cycle window) {
     p.rpu_count = 16;
     p.ports = 2;
     p.packet_size = 256;
-    p.load = 0.005;  // low duty: the regime where time-skip batching pays
-    p.decouple_shards = 4;
-    p.shard_workers = 1;
-    // The speedup is a single-host-thread claim: serial kernel vs the
-    // cooperatively scheduled decoupled shards on the same thread.
-    p.exec = sim::ShardSpec::Exec::kCoop;
+    p.load = 0.005;  // low duty: the regime where timed sleep pays
     p.warmup = 2'000;
     p.window = window;
     return p;
@@ -71,20 +59,20 @@ main(int argc, char** argv) {
     }
 
     bench::heading("Cluster sweep: N boards, 2x100G/board, 256B @ load 0.005, "
-                   "4-shard time-decoupled");
+                   "default kernel");
     std::printf("%-16s %8s %10s %10s %8s %10s %8s  %s\n", "mode", "boards",
-                "agg Gbps", "serial(s)", "run(s)", "speedup", "link", "fingerprints");
+                "agg Gbps", "ref(s)", "run(s)", "speedup", "link", "fingerprints");
 
+    // `floor`: a low-load row, which must beat the reference by >= 1.5x.
     auto report = [&](const char* mode, const exp::ClusterParams& p,
-                      const exp::ClusterResult& r) {
+                      const exp::ClusterResult& r, bool floor) {
         double worst_util = 0;
         for (const auto& b : r.boards)
             if (b.link_utilization > worst_util) worst_util = b.link_utilization;
-        std::printf("%-16s %8u %10.3f %10.3f %8.3f %9.2fx %7.1f%%  %s%s\n", mode,
+        std::printf("%-16s %8u %10.3f %10.3f %8.3f %9.2fx %7.1f%%  %s\n", mode,
                     p.boards, r.aggregate_gbps, r.serial_host_s, r.cluster_host_s,
                     r.speedup, 100.0 * worst_util,
-                    r.fingerprints_match ? "identical" : "MISMATCH",
-                    r.decoupled_active ? "" : "  [decoupled DID NOT install]");
+                    r.fingerprints_match ? "identical" : "MISMATCH");
         const uint64_t cycles = uint64_t(p.boards) * (p.warmup + p.window);
         uint64_t frames = 0;
         for (const auto& b : r.boards) frames += b.frames;
@@ -104,41 +92,30 @@ main(int argc, char** argv) {
         if (!r.fingerprints_match) {
             std::fprintf(stderr,
                          "FATAL: %s per-board fingerprint diverges from its "
-                         "single-board serial reference\n", mode);
+                         "single-board reference\n", mode);
             ++failures;
         }
-        if (!r.decoupled_active) {
-            std::fprintf(stderr,
-                         "FATAL: %s ran on the serial fallback (decoupled "
-                         "executor never installed)\n", mode);
+        if (floor && r.speedup < 1.5) {
+            std::fprintf(stderr, "FATAL: %s speedup %.2fx below the 1.5x floor\n",
+                         mode, r.speedup);
             ++failures;
         }
     };
 
-    // Best of 3 single-board runs (one-core hosts jitter; the fingerprint
-    // gate applies to every rep regardless).
-    auto best_of_3 = [&](const exp::ClusterParams& p, const char* first_mode) {
-        exp::ClusterResult best = exp::run_cluster(p);
-        if (first_mode) report(first_mode, p, best);
-        for (int rep = 1; rep < 3; ++rep) {
-            exp::ClusterResult again = exp::run_cluster(p);
-            if (!again.fingerprints_match || !again.decoupled_active) ++failures;
-            if (again.speedup > best.speedup) best = again;
-        }
-        return best;
-    };
-
-    // Headline: single board, 4-shard coop executor vs the serial
-    // reference.
-    exp::ClusterResult decoupled;
+    // Headline: best of 3 single-board runs (shared hosts jitter; the
+    // fingerprint gate applies to every rep regardless).
     {
         exp::ClusterParams p = base_params(window);
         p.boards = 1;
-        exp::ClusterResult best = best_of_3(p, "decoupled-1st");
-        decoupled = best;
-        report("decoupled-4shard", p, best);
-        // The serial reference pass of this row doubles as the regression
-        // gate's machine-speed calibration row.
+        exp::ClusterResult best = exp::run_cluster(p);
+        for (int rep = 1; rep < 3; ++rep) {
+            exp::ClusterResult again = exp::run_cluster(p);
+            if (!again.fingerprints_match) ++failures;
+            if (again.speedup > best.speedup) best = again;
+        }
+        report("timed-sleep", p, best, /*floor=*/true);
+        // The reference pass of this row doubles as the regression gate's
+        // machine-speed calibration row.
         const uint64_t cycles = p.warmup + p.window;
         json.row({{"workload", "cluster"},
                   {"mode", "reference"},
@@ -147,48 +124,6 @@ main(int argc, char** argv) {
                   {"cycles", std::to_string(cycles)},
                   {"cycles_per_s",
                    bench::num(double(cycles) / best.serial_host_s)}});
-        if (best.speedup < 1.5) {
-            std::fprintf(stderr,
-                         "FATAL: single-board 4-shard speedup %.2fx below the "
-                         "1.5x floor\n", best.speedup);
-            ++failures;
-        }
-    }
-
-    // Timed sleep: the same single-board workload on the default serial
-    // kernel (no shards) against the same timed-sleep-off reference.
-    {
-        exp::ClusterParams p = base_params(window);
-        p.boards = 1;
-        p.decouple_shards = 0;
-        exp::ClusterResult best = best_of_3(p, nullptr);
-        report("timed-sleep", p, best);
-        if (best.speedup < 1.5) {
-            std::fprintf(stderr,
-                         "FATAL: single-board timed-sleep speedup %.2fx below "
-                         "the 1.5x floor\n", best.speedup);
-            ++failures;
-        }
-        // Decoupled executor vs timed sleep on the same workload: > 1 means
-        // the shards still buy something over the serial kernel.
-        const bool same = best.boards[0].fingerprint == decoupled.boards[0].fingerprint;
-        const double ratio = best.cluster_host_s / decoupled.cluster_host_s;
-        std::printf("decoupled vs timed sleep: %.2fx (timed-sleep %.4f s, "
-                    "decoupled %.4f s)  fingerprints %s\n",
-                    ratio, best.cluster_host_s, decoupled.cluster_host_s,
-                    same ? "identical" : "MISMATCH");
-        json.row({{"workload", "cluster"},
-                  {"mode", "decoupled-vs-timed-sleep"},
-                  {"boards", "1"},
-                  {"timed_sleep_s", bench::num(best.cluster_host_s)},
-                  {"decoupled_s", bench::num(decoupled.cluster_host_s)},
-                  {"ratio", bench::num(ratio)},
-                  {"fingerprint_match", same ? "yes" : "NO"}});
-        if (!same) {
-            std::fprintf(stderr, "FATAL: timed-sleep and decoupled fingerprints "
-                                 "diverge\n");
-            ++failures;
-        }
     }
 
     for (unsigned boards : {2u, 4u, 8u}) {
@@ -196,32 +131,30 @@ main(int argc, char** argv) {
         exp::ClusterParams p = base_params(window);
         p.boards = boards;
         exp::ClusterResult r = exp::run_cluster(p);
-        report((std::to_string(boards) + "-board").c_str(), p, r);
+        report((std::to_string(boards) + "-board").c_str(), p, r, /*floor=*/true);
     }
 
     // Honesty row: at saturation the DUT is busy nearly every cycle, so
-    // there is no idle time for the decoupled executor to batch away —
-    // expect ~1.0x, gated only on correctness.
+    // there is no idle time to sleep through — expect ~1.0x, gated only on
+    // correctness.
     {
         exp::ClusterParams p = base_params(window / 4);
         p.boards = 1;
         p.load = 0.7;
         exp::ClusterResult r = exp::run_cluster(p);
-        report("saturated", p, r);
+        report("saturated", p, r, /*floor=*/false);
     }
 
 #ifdef ROSEBUD_SANITIZE
-    // Sanitized builds also run the dynamic lookahead cross-check with a
-    // decoupled pass: every cut channel's observed latency must stay at
-    // or above its certified bound, and the decoupled fingerprint must
-    // equal the barrier run's (obs::run_shard_check).
+    // Sanitized builds also run the dynamic lookahead cross-check: every
+    // cut net's observed latency must stay at or above its certified
+    // bound (obs::run_shard_check).
     {
         obs::ShardCheckSpec spec;
         spec.shards = 2;
-        spec.decouple = 2;
         spec.run_cycles = 20'000;
         obs::ShardCheckResult chk = obs::run_shard_check(spec);
-        std::printf("\nshard-check (sanitized, decoupled): %s\n",
+        std::printf("\nshard-check (sanitized): %s\n",
                     chk.ok ? "ok" : "FAILED");
         if (!chk.ok) ++failures;
     }

@@ -1,14 +1,12 @@
 /// Simulation-speed benchmark (host time, not simulated time).
 ///
-/// Three execution modes of the same workloads:
+/// Two execution modes of the same workloads:
 ///  * reference — predecode off, idle skipping off, commit-compat: the
 ///    plain interpret-everything two-phase kernel;
 ///  * tuned     — predecoded RV32 dispatch + quiescence skipping and timed
-///    sleep (the defaults every experiment harness runs with);
-///  * decoupled — tuned plus time-decoupled cooperative execution over
-///    the certified 4-way ShardPlan (DESIGN.md §16).
+///    sleep (the defaults every experiment harness runs with).
 ///
-/// All three must produce bit-identical architectural state: every run is
+/// Both must produce bit-identical architectural state: every run is
 /// fingerprinted (System::state_fingerprint) and any divergence aborts the
 /// benchmark — speed from a wrong simulation is meaningless. The headline
 /// number is the tuned-vs-reference host-time speedup on the Figure 7
@@ -51,12 +49,6 @@ struct Mode {
 const Mode kModes[] = {
     {"reference", {.predecode = false, .idle_skip = false, .commit_compat = true}},
     {"tuned", {.predecode = true, .idle_skip = true}},
-    // Time-decoupled cooperative execution over the certified 4-way
-    // ShardPlan (DESIGN.md §16). Pigasus falls back to the barrier kernel
-    // (the hardware reassembler is a structural obstacle) — the row then
-    // simply measures tuned, still fingerprint-gated.
-    {"decoupled",
-     {.predecode = true, .idle_skip = true, .shards = 4, .shard_workers = 1}},
 };
 
 struct RunResult {
@@ -132,12 +124,6 @@ run_pipeline(Pipeline which, const exp::SimTuning& t,
             which == Pipeline::kFirewall ? &blacklist : nullptr);
         sys.add_source({.port = port, .line_gbps = 100.0, .load = 0.7},
                        [gen]() { return gen->next(); });
-    }
-    if (t.shards > 1) {
-        // Single host thread: cooperative interleaving is the honest
-        // executor (kThreads would just add rendezvous spinning).
-        sys.set_decouple_exec(sim::ShardSpec::Exec::kCoop);
-        sys.set_decouple_shards(t.shards, t.shard_workers);
     }
     sys.run_cycles(run_cycles);
 

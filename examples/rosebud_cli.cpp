@@ -72,14 +72,13 @@ usage() {
                  "  broadcast  --rpus N\n"
                  "  reconfig   --rpus N --loads N\n"
                  "  resources  --rpus N\n"
-                 "  cluster    --boards N --rpus N --shards N --ports 1|2\n"
+                 "  cluster    --boards N --rpus N --ports 1|2\n"
                  "             --size N --load F --cycles N --seed N\n"
                  "             (multi-board cluster sweep: each board is an\n"
-                 "              independent shard group fed by a flow-consistent\n"
-                 "              ECMP front end over modeled 100G links, run\n"
-                 "              time-decoupled over its certified ShardPlan;\n"
-                 "              every board is fingerprint-gated against a\n"
-                 "              single-board serial run of the same flow subset;\n"
+                 "              independent run fed by a flow-consistent ECMP\n"
+                 "              front end over modeled 100G links; every board\n"
+                 "              is fingerprint-gated against a timed-sleep-off\n"
+                 "              single-board run of the same flow subset;\n"
                  "              exits 1 on any divergence)\n"
                  "  oracle     --pipeline forwarder|firewall|ids-hw|ids-sw|nat\n"
                  "             --policy rr|hash|ll --rpus N --seed N --packets N\n"
@@ -94,8 +93,8 @@ usage() {
                  "             --json FILE (write the certificates as JSON)\n"
                  "             (static firmware verification; exits 1 on any error)\n"
                  "  lint       --rpus N (omit to sweep 4/8/16) --dot FILE\n"
-                 "             --shards [N] (certify a partition of the paper\n"
-                 "              configuration for the time-decoupled kernel; bare\n"
+                 "             --shards [N] (certify a shard partition of the\n"
+                 "              paper configuration (an analysis only); bare\n"
                  "              --shards sweeps 2/4/8-way plans; with --dot the\n"
                  "              dump is annotated with shard clusters + cut edges)\n"
                  "             --json FILE (netlist summary, violations and every\n"
@@ -672,19 +671,16 @@ main(int argc, char** argv) {
         exp::ClusterParams p;
         p.boards = args.u32("boards", 2);
         p.rpu_count = args.u32("rpus", 16);
-        p.decouple_shards = args.u32("shards", 4);
         p.ports = args.u32("ports", 2);
         p.packet_size = args.u32("size", 256);
         p.load = args.f64("load", 0.005);
         p.seed = args.u32("seed", 1);
         p.window = args.u32("cycles", 60'000);
-        p.exec = sim::ShardSpec::Exec::kCoop;
         auto r = exp::run_cluster(p);
 
-        std::printf("cluster: %u board(s), %u RPUs/board, %u shards/board, "
+        std::printf("cluster: %u board(s), %u RPUs/board, "
                     "%u port(s) x %uB @ load %.3f\n",
-                    p.boards, p.rpu_count, p.decouple_shards, p.ports,
-                    p.packet_size, p.load);
+                    p.boards, p.rpu_count, p.ports, p.packet_size, p.load);
         std::printf("  board  frames      Gbps  host_s  ref_s  link_util  "
                     "link_worst  fingerprint\n");
         for (size_t b = 0; b < r.boards.size(); ++b) {
@@ -695,11 +691,9 @@ main(int argc, char** argv) {
                         (unsigned long long)br.link_worst_latency,
                         br.fingerprint_match ? "match" : "MISMATCH");
         }
-        std::printf("  aggregate %.3f Gbps, sharder imbalance %.3f, "
-                    "decoupled %s\n",
-                    r.aggregate_gbps, r.sharder_imbalance,
-                    r.decoupled_active ? "active" : "INACTIVE");
-        std::printf("  host time: serial %.2f s, cluster %.2f s -> "
+        std::printf("  aggregate %.3f Gbps, sharder imbalance %.3f\n",
+                    r.aggregate_gbps, r.sharder_imbalance);
+        std::printf("  host time: reference %.2f s, cluster %.2f s -> "
                     "speedup %.2fx\n",
                     r.serial_host_s, r.cluster_host_s, r.speedup);
         if (!r.fingerprints_match) {

@@ -45,16 +45,14 @@ struct BoardRun {
     uint64_t frames = 0;
     uint64_t bytes = 0;
     double gbps = 0;
-    double host_s = 0;  ///< measured over warmup+window, install excluded
-    bool decoupled_active = false;
+    double host_s = 0;  ///< measured over warmup+window
 };
 
 /// One board's full run: identical construction and cycle schedule for
-/// the serial reference and the cluster configuration, so the final
+/// the reference and the cluster run, so the final
 /// fingerprints are comparable bit for bit. The reference turns timed
-/// sleep off (the blessed baselines' regime). Host time is measured
-/// after the decoupled install (run_cycles(0) retries the latent request)
-/// — certification cost is a one-time setup, not simulation throughput.
+/// sleep off (the blessed baselines' regime). Host time covers the
+/// warmup and the window, not construction and boot.
 BoardRun
 run_board(const ClusterParams& p, unsigned board, bool reference) {
     SystemConfig cfg;
@@ -64,10 +62,6 @@ run_board(const ClusterParams& p, unsigned board, bool reference) {
     sys.kernel().set_timed_sleep(!reference);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(true);
-    if (!reference && p.decouple_shards > 1) {
-        sys.set_decouple_exec(p.exec);
-        sys.set_decouple_shards(p.decouple_shards, p.shard_workers);
-    }
 
     auto fw = fwlib::forwarder();
     sys.host().load_firmware_all(fw.image, fw.entry);
@@ -77,7 +71,6 @@ run_board(const ClusterParams& p, unsigned board, bool reference) {
         sys.add_source({.port = port, .line_gbps = 100.0, .load = p.load},
                        board_subset_gen(p, board, port));
     }
-    sys.run_cycles(0);  // install the decoupled executor outside the timing
 
     double t0 = now_s();
     sys.run_cycles(p.warmup);
@@ -87,7 +80,6 @@ run_board(const ClusterParams& p, unsigned board, bool reference) {
 
     BoardRun out;
     out.host_s = now_s() - t0;
-    out.decoupled_active = sys.decoupled_active();
     out.fingerprint = sys.state_fingerprint();
     for (unsigned port = 0; port < p.ports; ++port) {
         out.frames += sys.sink(port).window_frames();
@@ -150,9 +142,9 @@ run_cluster(const ClusterParams& p) {
         }
     }
 
-    // Serial references: one standalone single-board run per flow
-    // subset. These are both the speedup denominator inputs and the
-    // ground-truth fingerprints the cluster pass must reproduce.
+    // References: one standalone single-board run per flow subset. These
+    // are both the speedup denominator inputs and the ground-truth
+    // fingerprints the cluster pass must reproduce.
     for (unsigned b = 0; b < p.boards; ++b) {
         BoardRun ref = run_board(p, b, /*reference=*/true);
         res.boards[b].reference_fingerprint = ref.fingerprint;
@@ -160,12 +152,11 @@ run_cluster(const ClusterParams& p) {
         res.serial_host_s += ref.host_s;
     }
 
-    // Cluster pass: every board as an independent time-decoupled shard
-    // group. Boards run back to back on one host thread; the summed
-    // simulation time (construction and one-time certification excluded on
-    // both sides, identically) is the honest single-host cluster cost.
+    // Cluster pass: every board as an independent run on the default
+    // kernel. Boards run back to back on one host thread; the summed
+    // simulation time (construction excluded on both sides, identically)
+    // is the honest single-host cluster cost.
     res.fingerprints_match = true;
-    res.decoupled_active = p.decouple_shards <= 1;
     for (unsigned b = 0; b < p.boards; ++b) {
         BoardRun run = run_board(p, b, /*reference=*/false);
         ClusterBoardResult& out = res.boards[b];
@@ -177,8 +168,6 @@ run_cluster(const ClusterParams& p) {
         out.host_s = run.host_s;
         res.aggregate_gbps += run.gbps;
         res.cluster_host_s += run.host_s;
-        if (p.decouple_shards > 1 && run.decoupled_active)
-            res.decoupled_active = true;
         if (!out.fingerprint_match) res.fingerprints_match = false;
     }
     res.speedup =

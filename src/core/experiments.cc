@@ -21,10 +21,6 @@ void
 apply_tuning(System& sys) {
     sys.kernel().set_idle_skip(g_tuning.idle_skip);
     sys.kernel().set_commit_compat(g_tuning.commit_compat);
-    // Latent request: installs at the first run_cycles() after the traffic
-    // sources exist (System::try_install_decoupled).
-    if (g_tuning.shards > 1)
-        sys.set_decouple_shards(g_tuning.shards, g_tuning.shard_workers);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(g_tuning.predecode);
 }

@@ -23,20 +23,14 @@ namespace rosebud::exp {
 // --- host-speed tuning --------------------------------------------------------
 
 /// Simulation-speed knobs applied to every run_* harness below. These change
-/// only host time, never simulated results: predecoded dispatch, idle
-/// skipping and time-decoupled shards are exact (tests/test_sim_kernel.cc
-/// and tests/test_decoupled.cc prove it by fingerprint).
+/// only host time, never simulated results: predecoded dispatch and idle
+/// skipping are exact (tests/test_sim_kernel.cc proves it by fingerprint).
 struct SimTuning {
     bool predecode = true;      ///< rv::Core decoded-instruction cache
     bool idle_skip = true;      ///< kernel quiescence skipping + timed sleep
     /// Benchmarking only: restore the pre-fast-path per-cycle commit and
     /// scan regime (sim::Kernel::set_commit_compat) as the A/B reference.
     bool commit_compat = false;
-    /// >1 = time-decoupled execution over the certified N-way ShardPlan
-    /// (System::set_decouple_shards; DESIGN.md §16); shard_workers > 1
-    /// splits the DUT shard's tick phase over threads (0 = auto).
-    unsigned shards = 0;
-    unsigned shard_workers = 0;
 };
 
 /// Install process-wide tuning for subsequent run_* calls (the bench

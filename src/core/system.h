@@ -68,9 +68,8 @@ struct SystemConfig {
     LintMode lint = LintMode::kEnforce;
     /// When non-zero, the pre-cycle-0 gate also runs the shard-cut
     /// certifier (lint::certify_partition) for this shard count and
-    /// applies the LintMode policy to an unsound verdict. Plan export
-    /// only — kernel scheduling is unchanged; the time-decoupled kernel
-    /// (ROADMAP item 1) is the consumer of the certified plan.
+    /// applies the LintMode policy to an unsound verdict. An analysis
+    /// only: kernel scheduling is unchanged.
     unsigned certify_shards = 0;
 };
 
@@ -130,45 +129,8 @@ class System {
     /// Deregister. Safe to call from within a dispatch.
     void remove_packet_observer(uint64_t handle);
 
-    // --- time-decoupled execution (DESIGN.md §16) ----------------------------
-
-    /// Request time-decoupled execution over a certified N-way ShardPlan
-    /// (the runtime consumer of lint::certify_partition). The request is
-    /// latent: installation happens at the next run_cycles() once the
-    /// netlist includes the traffic sources (certifying during boot would
-    /// see only the DUT atom). `workers` > 1 additionally partitions the
-    /// DUT shard's tick phase over that many threads; 0 picks a default.
-    /// `shards` <= 1 is the null plan: the barrier kernel, bit-identical
-    /// to a serial run by definition. Structural obstacles (an unsound
-    /// plan, the hardware reassembler, packet observers, an unsupported
-    /// cut net) warn once and fall back to the barrier kernel.
-    void set_decouple_shards(unsigned shards, unsigned workers = 0);
-
-    /// How decoupled shards map onto host threads (kAuto = one thread per
-    /// shard on a multi-core host, cooperative interleaving on a single
-    /// hardware thread). Takes effect at the next install; the equivalence
-    /// tests force both modes explicitly.
-    void set_decouple_exec(sim::ShardSpec::Exec e) { decouple_exec_ = e; }
-
-    /// True once the decoupled executor is installed (after the first
-    /// post-source run_cycles under a live request).
-    bool decoupled_active() const { return decouple_installed_; }
-
-    /// The certified plan backing the installed executor (null until
-    /// decoupled_active()).
-    const lint::ShardPlan* decoupled_plan() const { return decouple_plan_.get(); }
-
-    /// Observed-latency stats per cut channel, for the dynamic lookahead
-    /// cross-check (obs::run_shard_check): every delivery must satisfy
-    /// observed latency >= certified. Empty until decoupled_active().
-    std::vector<sim::CutChannelStats> decoupled_channel_report() const;
-
     /// Advance simulated time.
-    void run_cycles(sim::Cycle n) {
-        if (decouple_request_ > 1 && !decouple_installed_ && !decouple_failed_)
-            try_install_decoupled();
-        kernel_.run(n);
-    }
+    void run_cycles(sim::Cycle n) { kernel_.run(n); }
     void run_us(double us) { run_cycles(sim::Cycle(us * 1e3 / sim::kNsPerCycle)); }
 
     /// One named row of a utilization table.
@@ -220,16 +182,6 @@ class System {
     std::vector<Observer> observers_;
     uint64_t next_observer_handle_ = 1;
     bool observer_hooks_installed_ = false;
-
-    void try_install_decoupled();
-    void detach_cut_channels();
-    unsigned decouple_request_ = 0;
-    unsigned decouple_workers_ = 0;
-    sim::ShardSpec::Exec decouple_exec_ = sim::ShardSpec::Exec::kAuto;
-    bool decouple_installed_ = false;
-    bool decouple_failed_ = false;
-    std::unique_ptr<lint::ShardPlan> decouple_plan_;
-    std::vector<std::unique_ptr<sim::CutChannel<net::PacketPtr>>> cut_channels_;
 };
 
 }  // namespace rosebud

@@ -70,7 +70,11 @@ InterBoardLink::transfer(sim::Cycle now, uint32_t bytes) {
 
 double
 InterBoardLink::utilization(sim::Cycle now) const {
-    return now > 0 ? double(busy_cycles_) / double(now) : 0.0;
+    if (now == 0) return 0.0;
+    // Serialization still queued past `now` has not happened yet.
+    sim::Cycle busy = busy_cycles_;
+    if (next_free_ > now) busy -= std::min(busy, next_free_ - now);
+    return double(busy) / double(now);
 }
 
 }  // namespace rosebud::dist

@@ -5,7 +5,7 @@
 /// A Rosebud cluster (ROADMAP item 1) is N boards, each a full System,
 /// joined by a front-end packet sharder — the deployment the paper
 /// sketches for scaling one middlebox past a single FPGA. Two properties
-/// make the cluster simulable as N *independent* shard groups:
+/// make the cluster simulable as N *independent* board runs:
 ///
 ///  * the front-end assigns packets to boards by a pure function of the
 ///    flow 5-tuple (ECMP-style), so every flow's packets — and therefore
@@ -88,7 +88,8 @@ class InterBoardLink {
     /// Worst (arrival - offered) across all frames, in cycles.
     sim::Cycle worst_latency() const { return worst_latency_; }
     /// Fraction of [0, now] the link spent serializing, given the last
-    /// observed offer cycle.
+    /// observed offer cycle. Serialization queued past `now` is not
+    /// counted, so the fraction never exceeds 1.
     double utilization(sim::Cycle now) const;
 
  private:

@@ -193,7 +193,7 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
         }
     }
     if (admitted) {
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         wake();
     }
     return all_ok;
@@ -221,7 +221,7 @@ Fabric::host_inject(net::PacketPtr pkt) {
         src.admit_count = src.queue.size();
     }
     ctr_host_tx_frames_->add();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     wake();
     return true;
 }
@@ -238,7 +238,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
         trace("rpu_egress", *pkt);
         tel(enet, sim::TelemetrySink::NetEvent::kPushOk);
         egress_staged_[rpu].push_back({std::move(pkt), now() + 1});
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         wake();
         return true;
     }
@@ -254,7 +254,7 @@ Fabric::rpu_egress(uint8_t rpu, net::PacketPtr pkt) {
     unsigned dd = unsigned(q.back().pkt->out_iface);
     if (dd < kSourceCount) ++egress_pkts_dest_[dd];
     egress_committed_[rpu] = q.size();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     wake();
     return true;
 }
@@ -290,11 +290,8 @@ Fabric::commit() {
     // Every path that stages a packet or mutates a committed queue (pop,
     // push, loopback re-entry) raises commit_dirty_; on untouched cycles
     // both integration loops below are identity refreshes and are skipped.
-    if (!commit_dirty_.load(std::memory_order_relaxed) &&
-        !kernel().commit_compat()) {
-        return;
-    }
-    commit_dirty_.store(false, std::memory_order_relaxed);
+    if (!commit_dirty_ && !kernel().commit_compat()) return;
+    commit_dirty_ = false;
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
         if (!src.staged.empty()) {
@@ -325,61 +322,6 @@ Fabric::commit() {
 void
 Fabric::set_mac_tx_sink(unsigned port, SinkFn fn) {
     mac_tx_[port].sink = std::move(fn);
-}
-
-void
-Fabric::set_cut_rx_channel(unsigned port, sim::CutChannel<net::PacketPtr>* ch) {
-    if (port > 1) sim::fatal("set_cut_rx_channel: bad port");
-    cut_rx_[port] = ch;
-}
-
-void
-Fabric::decoupled_begin_run() {
-    for (unsigned p = 0; p < 2; ++p) {
-        if (!cut_rx_[p]) continue;
-        const IngressSource& src = sources_[p];
-        cut_rx_[p]->publish_credit(src.queue_bytes, src.queue.size());
-        cut_pub_bytes_[p] = src.queue_bytes;
-        cut_pub_count_[p] = src.queue.size();
-    }
-}
-
-void
-Fabric::decoupled_end_cycle(sim::Cycle t) {
-    // Mirror of mac_rx's host-phase arrival path: deliveries mutate
-    // sleeper-visible queues, so settle the skipped window before the first
-    // one, and wake afterwards so the next executed cycle ticks us.
-    bool delivered = false;
-    for (unsigned p = 0; p < 2; ++p) {
-        sim::CutChannel<net::PacketPtr>* ch = cut_rx_[p];
-        if (!ch) continue;
-        IngressSource& src = sources_[p];
-        sim::Cycle tag = 0;
-        if (ch->earliest_pending(&tag) && tag <= t) {
-            ch->drain_upto(t, [&](sim::Cycle, net::PacketPtr pkt) {
-                if (!delivered) {
-                    flush_skipped();
-                    delivered = true;
-                }
-                src.queue_bytes += pkt->size();
-                src.queue.push_back(std::move(pkt));
-            });
-        }
-        // Refresh the registered admission snapshot when occupancy moved
-        // (a drain above, or our own tick popping this cycle); the
-        // producer reads this snapshot next cycle. Unchanged occupancy
-        // republished would be byte-identical, so skipping the lock is
-        // invisible.
-        if (src.queue_bytes != cut_pub_bytes_[p] ||
-            src.queue.size() != cut_pub_count_[p]) {
-            src.admit_bytes = src.queue_bytes;
-            src.admit_count = src.queue.size();
-            ch->publish_credit(src.queue_bytes, src.queue.size());
-            cut_pub_bytes_[p] = src.queue_bytes;
-            cut_pub_count_[p] = src.queue.size();
-        }
-    }
-    if (delivered) wake();
 }
 
 void
@@ -464,7 +406,7 @@ Fabric::tick_ingress_source(unsigned s) {
     }
     src.queue.pop_front();
     src.queue_bytes -= head->size();
-    commit_dirty_.store(true, std::memory_order_relaxed);
+    commit_dirty_ = true;
     tel(source_net_[s], sim::TelemetrySink::NetEvent::kPop);
     src.active = head;
     uint32_t bytes = head->size() + (head->hash_prepended ? 4 : 0);
@@ -549,7 +491,7 @@ Fabric::tick_egress() {
             q.pop_front();
             --egress_pkts_;
             --egress_pkts_dest_[d];
-            commit_dirty_.store(true, std::memory_order_relaxed);
+            commit_dirty_ = true;
             tel(egress_net_[r], sim::TelemetrySink::NetEvent::kPop);
             dest.rr = (r + 1) % config_.rpu_count;
             if (!try_egress_handoff(d, dest.active)) dest.done = dest.active;
@@ -611,7 +553,7 @@ Fabric::tick_loopback() {
         lp.queue_bytes += loopback_.active->size();
         lp.queue.push_back(loopback_.active);
         tel(source_net_[kSrcLoopback], sim::TelemetrySink::NetEvent::kOccupancy);
-        commit_dirty_.store(true, std::memory_order_relaxed);
+        commit_dirty_ = true;
         trace("loopback_reenter", *loopback_.active);
         ctr_loopback_frames_->add();
         ctr_loopback_bytes_->add(loopback_.active->size());

@@ -22,7 +22,6 @@
 #ifndef ROSEBUD_DIST_FABRIC_H
 #define ROSEBUD_DIST_FABRIC_H
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -34,7 +33,6 @@
 #include "rpu/rpu.h"
 #include "sim/kernel.h"
 #include "sim/resources.h"
-#include "sim/shard.h"
 #include "sim/stats.h"
 
 namespace rosebud::dist {
@@ -96,28 +94,6 @@ class Fabric : public sim::Component {
 
     /// Frames leaving on a physical port arrive here (tester side).
     void set_mac_tx_sink(unsigned port, SinkFn fn);
-
-    // --- time-decoupled execution (DESIGN.md §16) ---------------------------
-
-    /// Attach the latency-tagged channel replacing direct mac_rx calls on
-    /// `port` while a decoupled run is in flight (the certified
-    /// fabric.mac_rx.pN cut). The producer (TrafficSource) pushes into the
-    /// channel; our end-of-cycle hook integrates and returns credit.
-    void set_cut_rx_channel(unsigned port, sim::CutChannel<net::PacketPtr>* ch);
-
-    /// Seed each attached channel's credit snapshot from the committed
-    /// queues; wired as the fabric shard's begin hook (runs serially
-    /// before the shard threads start).
-    void decoupled_begin_run();
-
-    /// Fabric-shard end-of-cycle hook for local cycle `t`: runs after our
-    /// commit and after every producer shard has finished cycle `t`.
-    /// Integrates channel entries pushed at or before `t` directly into
-    /// the committed MAC RX queues (exactly what the barrier kernel's
-    /// commit would have integrated from tick-phase staging this cycle)
-    /// and publishes the registered-credit snapshot the producers read
-    /// from cycle `t + 1` on.
-    void decoupled_end_cycle(sim::Cycle t);
 
     /// Packets addressed to the host (port 2).
     void set_host_sink(SinkFn fn);
@@ -245,23 +221,14 @@ class Fabric : public sim::Component {
     size_t egress_pkts_ = 0;  ///< total packets across egress queues
     uint32_t egress_pkts_dest_[kSourceCount] = {0, 0, 0, 0};  ///< per destination
     /// Set by any queue mutation whose effect commit() must integrate or
-    /// re-snapshot; atomic because producers (traffic sources, RPU TX
-    /// engines) may run on other shard threads under the decoupled
-    /// executor.
-    std::atomic<bool> commit_dirty_{false};
+    /// re-snapshot.
+    bool commit_dirty_ = false;
 
     std::vector<std::deque<TimedPkt>> egress_queues_;  ///< per RPU
     EgressDest egress_[kSourceCount];                  ///< per destination
     /// Registered egress credit, mirroring IngressSource's admission state.
     std::vector<std::vector<TimedPkt>> egress_staged_;  ///< per RPU
     std::vector<size_t> egress_committed_;              ///< per RPU
-
-    /// Decoupled-mode ingress channels (null outside decoupled runs).
-    sim::CutChannel<net::PacketPtr>* cut_rx_[2] = {nullptr, nullptr};
-    /// Last credit snapshot published per port — lets the end-of-cycle hook
-    /// skip the channel lock entirely when occupancy did not change.
-    uint64_t cut_pub_bytes_[2] = {0, 0};
-    uint64_t cut_pub_count_[2] = {0, 0};
 
     MacTx mac_tx_[2];
     std::deque<TimedPkt> host_out_;

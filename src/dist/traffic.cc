@@ -2,11 +2,10 @@
 
 namespace rosebud::dist {
 
-TrafficSource::TrafficSource(sim::Kernel& kernel, sim::Stats& stats, const Config& config,
+TrafficSource::TrafficSource(sim::Kernel& kernel, const Config& config,
                              Fabric& fabric, GenFn gen)
     : sim::Component(kernel, "source.port" + std::to_string(config.port)),
       config_(config),
-      stats_(stats),
       fabric_(fabric),
       gen_(std::move(gen)),
       bytes_per_cycle_(config.line_gbps * 1e9 / 8.0 / sim::kClockHz * config.load),
@@ -36,10 +35,7 @@ TrafficSource::tick() {
         staged_->tx_ns =
             kernel().now_ns() - double(staged_->wire_size()) / 50.0 * sim::kNsPerCycle;
         ++offered_;
-        const bool ok = (cut_ && kernel().decoupled_running())
-                            ? cut_push(staged_)
-                            : fabric_.mac_rx(config_.port, staged_);
-        if (!ok) ++dropped_;
+        if (!fabric_.mac_rx(config_.port, staged_)) ++dropped_;
         staged_.reset();
         if (config_.max_packets && offered_ >= config_.max_packets) break;
         staged_ = gen_();
@@ -48,18 +44,6 @@ TrafficSource::tick() {
     if (staged_ && tokens_ > 2.0 * double(staged_->wire_size())) {
         tokens_ = 2.0 * double(staged_->wire_size());
     }
-}
-
-bool
-TrafficSource::decoupled_runnable(sim::Cycle t) const {
-    if (!cut_) return true;
-    if (cut_->consumer_done() >= t) return true;  // lockstep: exact credit
-    // Free-run: the consumer only gains occupancy through this channel and
-    // otherwise drains, so snapshot + our undrained pushes upper-bounds the
-    // occupancy any admission check this tick could face.
-    const sim::CutCredit c = cut_->credit_snapshot();
-    const uint64_t outstanding = cut_pushed_bytes_ - c.drained_bytes;
-    return c.bytes + outstanding + kFreeRunSlackBytes <= cut_fifo_bytes_;
 }
 
 sim::Cycle
@@ -97,57 +81,6 @@ TrafficSource::on_wake(sim::Cycle n) {
             tokens_ = 2.0 * double(staged_->wire_size());
         }
     }
-}
-
-void
-TrafficSource::set_cut_channel(sim::CutChannel<net::PacketPtr>* ch,
-                               uint64_t mac_rx_fifo_bytes) {
-    cut_ = ch;
-    cut_fifo_bytes_ = mac_rx_fifo_bytes;
-    if (ch && ctr_rx_frames_ == nullptr) {
-        // Same counters Fabric::mac_rx increments (Stats handles are
-        // node-stable; Fabric resolved these names at construction).
-        std::string pn = "port" + std::to_string(config_.port);
-        ctr_rx_frames_ = &stats_.counter(pn + ".rx_frames");
-        ctr_rx_bytes_ = &stats_.counter(pn + ".rx_bytes");
-        ctr_rx_drops_ = &stats_.counter(pn + ".rx_fifo_drops");
-    }
-}
-
-bool
-TrafficSource::cut_push(const net::PacketPtr& p) {
-    // Mirror of Fabric::mac_rx for the reassembler-free configuration the
-    // decoupled install path enforces (reassemble() is then the identity).
-    // Counters first — mac_rx counts every frame before admission.
-    ctr_rx_frames_->add();
-    ctr_rx_bytes_->add(p->size());
-    p->in_iface = net::Iface(config_.port);
-    const sim::Cycle t = now();
-    // If the consumer has finished cycle t-1 (and is parked on our `done`
-    // counter until we finish t), the snapshot is its exact committed
-    // end-of-previous-cycle occupancy; adding our own undrained pushes
-    // reproduces mac_rx's committed+staged admission byte-for-byte. When
-    // free-running the same sum is a conservative upper bound, and
-    // decoupled_runnable only opened this cycle with kFreeRunSlackBytes of
-    // headroom under that bound, so the check can only pass — a drop here
-    // would be a guess the barrier kernel might not have made.
-    const bool synced = cut_->consumer_done() >= t;
-    const sim::CutCredit c = cut_->credit_snapshot();
-    const uint64_t outstanding = cut_pushed_bytes_ - c.drained_bytes;
-    if (c.bytes + outstanding + p->size() > cut_fifo_bytes_) {
-        if (!synced) {
-            sim::panic("decoupled source " + name() +
-                       " overran its free-run credit slack (bound " +
-                       std::to_string(c.bytes + outstanding) + " + frame " +
-                       std::to_string(p->size()) + " > cap " +
-                       std::to_string(cut_fifo_bytes_) + ")");
-        }
-        ctr_rx_drops_->add();
-        return false;
-    }
-    cut_pushed_bytes_ += p->size();
-    cut_->push(t, p);
-    return true;
 }
 
 TrafficSink::TrafficSink(sim::Kernel& kernel, sim::Stats& stats, std::string name)

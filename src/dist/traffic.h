@@ -17,7 +17,6 @@
 #include "dist/fabric.h"
 #include "net/packet.h"
 #include "sim/kernel.h"
-#include "sim/shard.h"
 #include "sim/stats.h"
 
 namespace rosebud::dist {
@@ -35,8 +34,8 @@ class TrafficSource : public sim::Component {
     /// `gen` produces the next frame each time the wire frees up.
     using GenFn = std::function<net::PacketPtr()>;
 
-    TrafficSource(sim::Kernel& kernel, sim::Stats& stats, const Config& config,
-                  Fabric& fabric, GenFn gen);
+    TrafficSource(sim::Kernel& kernel, const Config& config, Fabric& fabric,
+                  GenFn gen);
 
     void tick() override;
 
@@ -45,14 +44,6 @@ class TrafficSource : public sim::Component {
     bool quiescent() const override {
         return config_.max_packets != 0 && offered_ >= config_.max_packets;
     }
-
-    /// Decoupled free-run gate: this shard may execute local cycle `t`
-    /// without a rendezvous as long as the worst-case occupancy bound
-    /// (consumer's committed snapshot + our not-yet-drained pushes) leaves
-    /// at least one tick's worth of slack below the MAC RX FIFO capacity.
-    /// When the consumer has already completed cycle t-1 the snapshot is
-    /// exact and lockstep admission applies, so the gate is always open.
-    bool decoupled_runnable(sim::Cycle t) const override;
 
     /// Cycles this source can provably spend accumulating tokens without
     /// emitting (conservative: two cycles under the analytic first-emission
@@ -72,23 +63,8 @@ class TrafficSource : public sim::Component {
  public:
     uint64_t dropped_at_mac() const { return dropped_; }
 
-    /// Decoupled-mode endpoint (DESIGN.md §16): while a decoupled run is
-    /// in flight, frames go through this latency-tagged channel instead of
-    /// the direct mac_rx call. The admission mirror is exact: the
-    /// channel's credit snapshot is the fabric's committed end-of-
-    /// previous-cycle occupancy, and this source is the port's only
-    /// writer, so adding its own same-cycle pushes reproduces mac_rx's
-    /// committed+staged check byte-for-byte. Requires the hardware
-    /// reassembler to be off (the System install path enforces this).
-    /// Null detaches; barrier runs always use the direct call.
-    void set_cut_channel(sim::CutChannel<net::PacketPtr>* ch,
-                         uint64_t mac_rx_fifo_bytes);
-
  private:
-    bool cut_push(const net::PacketPtr& p);
-
     Config config_;
-    sim::Stats& stats_;
     Fabric& fabric_;
     GenFn gen_;
     double tokens_ = 0.0;
@@ -98,19 +74,6 @@ class TrafficSource : public sim::Component {
     net::PacketPtr staged_;
     uint64_t offered_ = 0;
     uint64_t dropped_ = 0;
-
-    /// Free-run admission slack: decoupled_runnable only opens a cycle when
-    /// the worst-case bound leaves this much FIFO headroom, and one tick can
-    /// push at most 2 wire-sizes + one cycle's tokens (~19 KB at jumbo), so
-    /// the in-tick admission check can never be forced to guess.
-    static constexpr uint64_t kFreeRunSlackBytes = 32 * 1024;
-
-    sim::CutChannel<net::PacketPtr>* cut_ = nullptr;
-    uint64_t cut_fifo_bytes_ = 0;
-    uint64_t cut_pushed_bytes_ = 0;  ///< cumulative bytes pushed into the cut
-    sim::Counter* ctr_rx_frames_ = nullptr;
-    sim::Counter* ctr_rx_bytes_ = nullptr;
-    sim::Counter* ctr_rx_drops_ = nullptr;
 };
 
 /// Records what comes back to the tester.

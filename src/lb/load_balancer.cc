@@ -55,7 +55,6 @@ void
 LoadBalancer::on_slot_config(uint8_t rpu, const rpu::SlotConfig& cfg) {
     if (rpu >= config_.rpu_count) return;
     if (staging()) {
-        std::lock_guard<std::mutex> lock(mu_);
         staged_configs_.emplace_back(rpu, cfg);
         return;
     }
@@ -67,7 +66,6 @@ void
 LoadBalancer::on_slot_free(uint8_t rpu, uint8_t slot) {
     if (rpu >= config_.rpu_count) return;
     if (staging()) {
-        std::lock_guard<std::mutex> lock(mu_);
         staged_frees_.emplace_back(rpu, slot);
         return;
     }
@@ -85,7 +83,6 @@ LoadBalancer::request_slot(uint8_t dst_rpu) {
 void
 LoadBalancer::request_slot_routed(uint8_t requester, uint8_t dst_rpu) {
     if (staging()) {
-        std::lock_guard<std::mutex> lock(mu_);
         staged_requests_.emplace_back(requester, dst_rpu);
         return;
     }
@@ -94,14 +91,13 @@ LoadBalancer::request_slot_routed(uint8_t requester, uint8_t dst_rpu) {
 
 void
 LoadBalancer::commit_staged() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (staged_configs_.empty() && staged_frees_.empty() && staged_requests_.empty()) {
         return;
     }
     // Deterministic application order regardless of which component ticked
-    // first (or on which pool thread): configs by RPU, then frees sorted by
-    // (RPU, slot), then requests by requester id. Sorting makes the applied
-    // order a function of the staged *set*, never of arrival order.
+    // first: configs by RPU, then frees sorted by (RPU, slot), then requests
+    // by requester id. Sorting makes the applied order a function of the
+    // staged *set*, never of arrival order.
     std::stable_sort(staged_configs_.begin(), staged_configs_.end(),
                      [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [rpu, cfg] : staged_configs_) {
@@ -211,10 +207,6 @@ LoadBalancer::reassemble(net::PacketPtr pkt) {
     auto parsed = net::parse_packet(*pkt);
     if (!parsed || !parsed->has_tcp) return {std::move(pkt)};
 
-    // Traffic sources on different ports may reach this from different
-    // pool threads; the flow table is shared. Per-flow behavior does not
-    // depend on cross-flow arrival order, so the lock is determinism-safe.
-    std::lock_guard<std::mutex> lock(mu_);
     net::FiveTuple key = net::extract_five_tuple(*parsed);
     FlowRecord& rec = flows_[key];
     uint64_t seq = parsed->tcp.seq;

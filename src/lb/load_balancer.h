@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -172,13 +171,6 @@ class LoadBalancer {
     sim::Counter* ctr_reasm_held_;
     sim::Counter* ctr_reasm_overflow_;
     sim::Counter* ctr_reasm_stale_;
-
-    /// Serializes tick-phase staging (RPU control callbacks) and the
-    /// reassembler flow table (RPU ticks may run on several threads of a
-    /// decoupled shard). The staged vectors are applied
-    /// in a sorted, arrival-order-independent order at the clock edge, so
-    /// the lock only guards memory, not determinism.
-    mutable std::mutex mu_;
 
     // Control-channel traffic staged during the tick phase.
     std::vector<std::pair<uint8_t, rpu::SlotConfig>> staged_configs_;

@@ -1,12 +1,13 @@
 /// \file
 /// Static shard-cut certifier over the elaboration netlist.
 ///
-/// ROADMAP item 1 (multi-board cluster simulation behind a time-decoupled
-/// kernel) needs cut edges with *provably* nonzero forwarding latency: a
-/// conservative parallel scheduler may only advance a shard's local clock
-/// by the minimum latency of its incoming cut edges (the FireSim
-/// latency-bounded-channel argument). This pass derives those bounds from
-/// the netlist the primitives and components already declare:
+/// An analysis of the netlist: which component partitions have cut edges
+/// with *provably* nonzero forwarding latency. That latency is the
+/// lookahead a conservative parallel scheduler would need to advance a
+/// shard's local clock (the FireSim latency-bounded-channel argument);
+/// the simulator itself runs one serial kernel and does not consume the
+/// plan. This pass derives those bounds from the netlist the primitives
+/// and components already declare:
 ///
 ///  * a registered FIFO net forwards with latency >= 1 (a push at cycle T
 ///    is first poppable at T+1 — the two-phase commit plus the dynamic

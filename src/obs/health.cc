@@ -557,11 +557,10 @@ HealthMonitor::build_snapshot(uint64_t now) const {
     char line[192];
     std::snprintf(line, sizeof(line),
                   "health snapshot @%llu: inflight=%zu ingress=%llu egress=%llu "
-                  "drops=%llu awake=%zu\n",
+                  "drops=%llu\n",
                   (unsigned long long)now, inflight_count_,
                   (unsigned long long)ingress_, (unsigned long long)egress_,
-                  (unsigned long long)(drops_[0] + drops_[1]),
-                  sys_->kernel().awake_count());
+                  (unsigned long long)(drops_[0] + drops_[1]));
     out += line;
     std::snprintf(line, sizeof(line), "  last egress %llu cycles ago\n",
                   (unsigned long long)(now - std::max(last_egress_, attach_cycle_)));

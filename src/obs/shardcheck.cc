@@ -127,8 +127,7 @@ ShardLatencyRecorder::report() const {
 
 namespace {
 
-/// The check workload, built identically for the barrier and decoupled
-/// passes so their final fingerprints are comparable bit for bit.
+/// The check workload: a booted forwarder with seeded two-port traffic.
 std::unique_ptr<System>
 build_check_system(const ShardCheckSpec& spec) {
     SystemConfig scfg;
@@ -174,30 +173,7 @@ run_shard_check(const ShardCheckSpec& spec) {
     res.cycles = spec.run_cycles;
     for (const CutLatency& c : res.cuts) res.messages += c.messages;
     res.ok = plan_ok && rec.ok();
-    res.barrier_fingerprint = sys->state_fingerprint();
 
-    // Decoupled pass: the cut channels replace the instrumented nets, so
-    // the cross-check moves with them — each channel records its own
-    // observed release latencies, and an undercut there would mean the
-    // decoupled executor released a message earlier than the certified
-    // lookahead permits (the exact unsoundness the recorder hunts on the
-    // barrier kernel).
-    if (spec.decouple > 1) {
-        res.decoupled_ran = true;
-        std::unique_ptr<System> dec = build_check_system(spec);
-        dec->set_decouple_shards(spec.decouple);
-        dec->run_cycles(spec.run_cycles);
-        res.decoupled_fingerprint = dec->state_fingerprint();
-        res.channels = dec->decoupled_channel_report();
-        if (!dec->decoupled_active()) res.decoupled_ok = false;
-        for (const sim::CutChannelStats& ch : res.channels) {
-            if (ch.delivered > 0 && ch.min_latency < ch.certified)
-                res.decoupled_ok = false;
-        }
-        if (res.decoupled_fingerprint != res.barrier_fingerprint)
-            res.decoupled_ok = false;
-        res.ok = res.ok && res.decoupled_ok;
-    }
     return res;
 }
 

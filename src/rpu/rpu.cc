@@ -139,7 +139,6 @@ Rpu::boot() {
     rx_next_remaining_ = 0;
     rx_next_gap_ = 0;
     rx_pending_.reset();
-    rx_pending_flag_.store(false, std::memory_order_relaxed);
     bcast_pending_.clear();
     tx_cur_.reset();
     tx_out_.reset();
@@ -176,7 +175,7 @@ Rpu::raise_evict() {
 bool
 Rpu::rx_ready() const {
     if (!kernel().in_tick()) return rx_remaining_ == 0 && rx_gap_ == 0;
-    if (rx_pending_flag_.load(std::memory_order_relaxed)) return false;
+    if (rx_pending_) return false;
     // Post-tick lookahead: replay this cycle's RX-engine transition on the
     // committed state, so the answer is the same whether or not this RPU
     // has already ticked.
@@ -195,7 +194,6 @@ Rpu::begin_rx(net::PacketPtr pkt) {
     if (!rx_ready()) sim::panic(name() + ": begin_rx while busy");
     if (kernel().in_tick()) {
         rx_pending_ = std::move(pkt);  // transfer starts at this commit
-        rx_pending_flag_.store(true, std::memory_order_relaxed);
         wake();  // staged input: a sleeping RPU resumes next cycle
         return;
     }
@@ -274,7 +272,7 @@ Rpu::inputs_frozen() const {
     // time-driven events, no accelerator (which may act spontaneously).
     return !accel_ && timer_cmp_ == 0 &&
            !rx_pkt_ && rx_remaining_ == 0 && rx_gap_ == 0 &&
-           !rx_pending_flag_.load(std::memory_order_relaxed) &&
+           !rx_pending_ &&
            !tx_cur_ && !tx_out_ && tx_fifo_.size() == 0 &&
            rx_fifo_.size() == 0 && bcast_notify_.size() == 0 &&
            bcast_pending_.empty() && !slot_resp_ &&
@@ -352,10 +350,7 @@ void
 Rpu::commit() {
     rx_remaining_ = rx_next_remaining_;
     rx_gap_ = rx_next_gap_;
-    if (rx_pending_flag_.load(std::memory_order_relaxed)) {
-        rx_pending_flag_.store(false, std::memory_order_relaxed);
-        apply_begin_rx(std::move(rx_pending_));
-    }
+    if (rx_pending_) apply_begin_rx(std::move(rx_pending_));
     for (const auto& [offset, value] : bcast_pending_) {
         std::memcpy(&bcast_mem_[offset], &value, 4);
     }

@@ -20,7 +20,7 @@
 ///    netlist (nets + directed ports) that the static checker in
 ///    src/lint/ validates before cycle 0.
 ///
-/// Execution regimes (DESIGN.md §11), all bit-identical by test:
+/// Two execution regimes (DESIGN.md §11), bit-identical by test:
 ///  * **Tuned** (the default) — only what can act is ticked. A component
 ///    reporting `quiescent()` sleeps until a netlist wake edge (or an
 ///    explicit `wake()`) delivers input; a self-advancing one (a paced
@@ -30,18 +30,14 @@
 ///    deadline or the run's end. Off while a TelemetrySink is attached.
 ///  * **Commit-compat reference** — `set_commit_compat(true)`: the
 ///    pre-fast-path per-cycle regime, for A/B benchmarking only.
-///  * **Time-decoupled shards** — `set_shard_spec` (sim/shard.h, §16):
-///    its low-load win is the idle-window batching timed sleep now gives
-///    the serial kernel, so it awaits re-measurement against tuned.
+///
+/// The kernel is single-threaded: one host thread steps one kernel.
 
 #ifndef ROSEBUD_SIM_KERNEL_H
 #define ROSEBUD_SIM_KERNEL_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,11 +81,10 @@ class Clocked {
     friend class Kernel;
     /// Set while this element sits in the kernel's lazy-commit queue
     /// (see Kernel::add_clocked / request_commit).
-    std::atomic<bool> commit_queued_{false};
+    bool commit_queued_ = false;
 };
 
 class Kernel;
-struct ShardSpec;  // sim/shard.h: time-decoupled execution (DESIGN.md §16)
 
 // --- elaboration netlist -----------------------------------------------------
 
@@ -179,17 +174,17 @@ class Component : public Clocked {
     /// The default keeps the component permanently active.
     virtual bool quiescent() const { return false; }
 
-    /// Re-activate this component, cancelling any timer. Idempotent and
-    /// thread safe. A wake issued during the tick phase takes effect on
-    /// the *next* cycle — registered semantics: the sleeper could not have
-    /// observed the producer's staged output this cycle anyway — which
-    /// keeps every tick order bit-identical. Its commit() still runs this
+    /// Re-activate this component, cancelling any timer. Idempotent. A
+    /// wake issued during the tick phase takes effect on the *next* cycle
+    /// — registered semantics: the sleeper could not have observed the
+    /// producer's staged output this cycle anyway — which keeps every
+    /// tick order bit-identical. Its commit() still runs this
     /// cycle, so staged input handed over by a direct call (e.g. begin_rx)
     /// is integrated on time.
     void wake();
 
     /// False while the kernel has this component in the skipped set.
-    bool awake() const { return awake_.load(std::memory_order_relaxed); }
+    bool awake() const { return awake_; }
 
     /// Hierarchical instance name, e.g. "dut.rpu3.interconnect".
     const std::string& name() const { return name_; }
@@ -215,7 +210,7 @@ class Component : public Clocked {
     /// firmware polls), so the replayed cycles see pre-mutation state.
     void flush_skipped();
 
-    // --- self-advance contract (timed sleep; DESIGN.md §11, §16) ----------
+    // --- self-advance contract (timed sleep; DESIGN.md §11) ----------------
     //
     // Consulted only for components that opted in by setting
     // self_advancing_ (so the common case pays one flag test, not a
@@ -223,26 +218,15 @@ class Component : public Clocked {
 
     /// How many upcoming ticks, starting at the current cycle, are pure
     /// internal time advance — no output, no staged state, no
-    /// cross-component effect. The kernel (timer) and the shard runner
-    /// (time skip) replay them through on_wake(), which must reproduce the
-    /// live ticks bit for bit (replay the arithmetic; never summarize
-    /// floating point). 0 is always correct; kForever: never without input.
+    /// cross-component effect. The kernel sleeps the component on a timer
+    /// through them and replays them through on_wake(), which must
+    /// reproduce the live ticks bit for bit (replay the arithmetic; never
+    /// summarize floating point). 0 is always correct; kForever: never
+    /// without input.
     virtual Cycle idle_horizon() const { return 0; }
 
-    /// Decoupled runs only: may local cycle `t` be decided right now?
-    /// Return false when this component's tick at `t` depends on
-    /// peer-shard state that is not yet conservatively bounded (e.g. a
-    /// cut-FIFO admission too close to capacity while the consumer shard
-    /// is behind). The runner then parks this shard until the peer
-    /// advances.
-    virtual bool decoupled_runnable(Cycle t) const {
-        (void)t;
-        return true;
-    }
-
- protected:
-    /// Subclasses overriding the hooks above must set this so the kernel
-    /// and the shard runner know to consult them.
+    /// Subclasses overriding idle_horizon() must set this so the kernel
+    /// knows to consult it.
     bool self_advancing_ = false;
 
  private:
@@ -251,8 +235,8 @@ class Component : public Clocked {
     Kernel& kernel_;
     std::string name_;
 
-    std::atomic<bool> awake_{true};
-    std::atomic<Cycle> wake_at_{0};  ///< first cycle allowed to tick again
+    bool awake_ = true;
+    Cycle wake_at_ = 0;              ///< first cycle allowed to tick again
     Cycle sleep_since_ = 0;          ///< first skipped cycle (if unaccounted_)
     bool unaccounted_ = false;       ///< skipped cycles not yet reported
     Cycle deadline_ = kForever;      ///< timer wake cycle (kForever: none)
@@ -267,15 +251,14 @@ class Kernel {
     /// Where the clock currently stands within Kernel::step().
     enum class Phase : uint8_t { kIdle, kTick, kCommit };
 
-    Kernel();  // out of line: members reference the incomplete ShardRun
-    ~Kernel();
+    Kernel() = default;
     Kernel(const Kernel&) = delete;
     Kernel& operator=(const Kernel&) = delete;
 
     /// Register a component (called from Component's constructor).
     void add_component(Component* c) {
         components_.push_back(c);
-        awake_count_.fetch_add(1, std::memory_order_relaxed);
+        ++awake_count_;
     }
 
     /// Register a non-component clocked element. A `lazy` element promises
@@ -291,15 +274,12 @@ class Kernel {
     }
 
     /// Queue a lazy clocked element for this cycle's clock edge. Idempotent
-    /// per cycle; thread safe during a decoupled run (the per-element flag
-    /// makes the queue duplicate-free and fifo/reg commits are mutually
-    /// independent, so queue order is unobservable).
+    /// per cycle (the per-element flag keeps the queue duplicate-free;
+    /// fifo/reg commits are mutually independent, so queue order is
+    /// unobservable).
     void request_commit(Clocked* c) {
-        if (c->commit_queued_.exchange(true, std::memory_order_relaxed)) return;
-        if (decoupled_live_.load(std::memory_order_relaxed)) {
-            decoupled_request_commit(c);
-            return;
-        }
+        if (c->commit_queued_) return;
+        c->commit_queued_ = true;
         commit_queue_.push_back(c);
     }
 
@@ -337,13 +317,8 @@ class Kernel {
         return hit;
     }
 
-    /// Current simulation time in cycles since reset. During a decoupled
-    /// run (DESIGN.md §16) every shard thread sees its *local* clock here;
-    /// between runs all clocks agree and this is the single global time.
-    Cycle now() const {
-        if (decoupled_live_.load(std::memory_order_relaxed)) return decoupled_now();
-        return now_;
-    }
+    /// Current simulation time in cycles since reset.
+    Cycle now() const { return now_; }
 
     /// Current simulation time in nanoseconds.
     double now_ns() const { return cycles_to_ns(now()); }
@@ -351,24 +326,19 @@ class Kernel {
     /// Number of registered components.
     size_t component_count() const { return components_.size(); }
 
-    /// Registered components in current tick order (shard-spec builders
-    /// map certified plan shards onto these).
+    /// Registered components in current tick order.
     const std::vector<Component*>& components() const { return components_; }
 
     // --- phase/actor tracking (race detector substrate) ---------------------
 
-    /// Where the clock stands right now (the calling shard's local phase
-    /// during a decoupled run).
-    Phase phase() const {
-        if (decoupled_live_.load(std::memory_order_relaxed)) return decoupled_phase();
-        return phase_;
-    }
+    /// Where the clock stands right now.
+    Phase phase() const { return phase_; }
 
     /// True while some component's tick() is on the stack.
     bool in_tick() const { return phase() == Phase::kTick; }
 
     /// The component whose tick()/commit() is currently running (null
-    /// between steps, i.e. for host/test code, and during a decoupled run).
+    /// between steps, i.e. for host/test code).
     const Component* active_component() const { return active_; }
 
     /// Enable/disable the dynamic same-cycle race checks in Fifo/Reg.
@@ -457,7 +427,7 @@ class Kernel {
     bool idle_skip_effective() const { return idle_skip_ && telemetry_ == nullptr; }
 
     /// Components currently in the active set.
-    size_t awake_count() const { return awake_count_.load(std::memory_order_relaxed); }
+    size_t awake_count() const { return awake_count_; }
 
     /// Wake every component (and report skipped cycles to each sleeper).
     /// Pending timers are cancelled.
@@ -475,52 +445,6 @@ class Kernel {
 
     /// Earliest pending timer deadline (kForever: none; may be stale-low).
     Cycle next_timer() const { return next_deadline_; }
-
-    // --- time-decoupled execution (DESIGN.md §16) -----------------------------
-
-    /// Install an executable shard specification (derived from a certified
-    /// lint::ShardPlan — System::set_decouple_shards is the production
-    /// path). Every registered component must appear in exactly one shard.
-    /// Returns an empty string on success; otherwise a reason and nothing
-    /// is installed. While installed and effective, run() executes each
-    /// shard on its own worker thread (or cooperatively, per the spec's
-    /// Exec) under a local cycle counter with conservative lookahead
-    /// synchronization; timer sleepers wake on entry.
-    std::string set_shard_spec(ShardSpec spec);
-
-    /// Drop the installed spec; run() returns to the barrier executor.
-    void clear_shard_spec();
-
-    bool shard_spec_installed() const { return spec_ != nullptr; }
-
-    /// True while a decoupled run() is in flight — i.e. the calling thread
-    /// is on a shard-local clock. Cheap enough to poll per frame.
-    bool decoupled_running() const {
-        return decoupled_live_.load(std::memory_order_relaxed);
-    }
-
-    /// True when the next run() will use the decoupled executor: a spec is
-    /// installed and nothing demanding a single global clock is attached
-    /// (the race detector, a telemetry sink, a health probe, and
-    /// commit-compat mode all require the barrier regime).
-    bool decoupled_effective() const;
-
-    /// Progress counter ("done" cursor) of an installed shard: the number
-    /// of cycles that shard has completed in the current (or last) run.
-    /// Stable for the lifetime of the spec — System binds these into the
-    /// cut channels so endpoints can reason about peer progress.
-    const std::atomic<Cycle>* shard_done_ptr(unsigned shard) const;
-
-    /// Cumulative per-shard execution accounting while decoupled: how many
-    /// local cycles ran through tick+commit vs were collapsed by time-skip
-    /// jumps. Diagnostics only (bench_cluster reports it); empty unless a
-    /// spec is installed. Read between runs, not during one.
-    struct ShardProgress {
-        uint64_t executed = 0;
-        uint64_t skipped = 0;
-        uint64_t jumps = 0;
-    };
-    std::vector<ShardProgress> decoupled_progress() const;
 
     // --- baseline-compat (A/B benchmarking) -----------------------------------
 
@@ -613,13 +537,10 @@ class Kernel {
  private:
     friend class Component;
 
-    struct ShardRun;
-
     /// The first cycle that must be stepped: now_ unless everything sleeps,
     /// else the earliest timer or health-probe deadline (maybe passed).
     Cycle quiet_until() const {
-        if (!prestep_done_ || !idle_skip_effective() ||
-            awake_count_.load(std::memory_order_relaxed) != 0)
+        if (!prestep_done_ || !idle_skip_effective() || awake_count_ != 0)
             return now_;
         Cycle until = next_deadline_;
         if (health_probe_) {
@@ -632,21 +553,13 @@ class Kernel {
     void note_wake(Component& c);
     void flush_wake_accounting(Component* c);
     void sleep_sweep();
-    void wake_timers(bool all);
+    void wake_timers();
     void build_wake_map();
-    void decoupled_request_commit(Clocked* c);
-    Cycle decoupled_now() const;
-    Phase decoupled_phase() const;
-    void run_decoupled(Cycle cycles);
-    bool advance_shard(ShardRun& sr, Cycle budget);
-    void run_shard_threaded(ShardRun& sr);
-    void shard_sleep_sweep(ShardRun& sr, Cycle next);
 
     std::vector<Component*> components_;
     std::vector<Clocked*> clocked_;
     std::vector<Clocked*> lazy_clocked_;
     std::vector<Clocked*> commit_queue_;
-    std::mutex commit_queue_mu_;
     Cycle now_ = 0;
 
     Phase phase_ = Phase::kIdle;
@@ -659,7 +572,7 @@ class Kernel {
     bool idle_skip_ = true;
     bool commit_compat_ = false;
     bool timed_sleep_ = true;
-    std::atomic<size_t> awake_count_{0};
+    size_t awake_count_ = 0;
     Cycle fast_forwarded_ = 0;
 
     /// Deadline store: timer sleepers, each listed once (a cancelled entry
@@ -669,15 +582,6 @@ class Kernel {
     Cycle next_deadline_ = kForever;
 
     bool wake_map_built_ = false;
-
-    std::unique_ptr<ShardSpec> spec_;
-    std::vector<std::unique_ptr<ShardRun>> shard_runs_;
-    std::atomic<bool> decoupled_live_{false};
-    /// The shard the calling thread executes during a decoupled run (null
-    /// on host threads and between runs). Static: shard identity is a
-    /// property of the thread, and one thread never serves two kernels at
-    /// once (each board's kernel runs on its own thread in a cluster).
-    static thread_local ShardRun* t_shard_;
 
     struct NetSlot {  ///< everything keyed by NetId
         const std::string* name = nullptr;  ///< key in net_ids_ (nodes are stable)
@@ -698,7 +602,9 @@ inline Cycle Component::now() const { return kernel_.now(); }
 
 inline void
 Component::wake() {
-    if (!awake_.exchange(true, std::memory_order_relaxed)) kernel_.note_wake(*this);
+    if (awake_) return;
+    awake_ = true;
+    kernel_.note_wake(*this);
 }
 
 }  // namespace rosebud::sim

@@ -339,18 +339,6 @@ TEST(HealthMonitor, TimedSleepLeavesEpochsWatchdogAndRecorderUnchanged) {
         std::string recorder_text, recorder_json, dump_text, dump_json;
         uint64_t jumped = 0;
     };
-    // Trip snapshots also report how many components the kernel is ticking
-    // ("awake=N"): host-kernel state, which differs by design (the sources
-    // tick every cycle with timed sleep off). Everything else must match.
-    auto mask_awake = [](std::string s) {
-        for (size_t at = s.find("awake="); at != std::string::npos;
-             at = s.find("awake=", at + 1)) {
-            size_t end = at + 6;
-            while (end < s.size() && s[end] >= '0' && s[end] <= '9') ++end;
-            s.replace(at + 6, end - at - 6, "N");
-        }
-        return s;
-    };
     auto run = [&](bool timed) {
         SystemConfig cfg;
         cfg.rpu_count = 16;
@@ -388,13 +376,13 @@ TEST(HealthMonitor, TimedSleepLeavesEpochsWatchdogAndRecorderUnchanged) {
         for (const obs::WatchdogTrip& t : mon.trips()) {
             o.trip_cycles.push_back(t.cycle);
             o.trip_text.push_back(t.what + "|" + t.component + "|" + t.deepest_net +
-                                  "|" + mask_awake(t.snapshot));
+                                  "|" + t.snapshot);
         }
         o.recorder_text = mon.recorder().dump_text();
         o.recorder_json = mon.recorder().dump_json();
         const obs::HealthMonitor::Dump d = mon.dump();
-        o.dump_text = mask_awake(d.text);
-        o.dump_json = mask_awake(d.json);
+        o.dump_text = d.text;
+        o.dump_json = d.json;
         o.jumped = sys.kernel().fast_forwarded_cycles() - ff0;
         mon.detach();
         return o;

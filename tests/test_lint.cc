@@ -25,6 +25,7 @@
 #include "lint/shard.h"
 #include "net/rules.h"
 #include "net/tracegen.h"
+#include "obs/shardcheck.h"
 #include "sim/fifo.h"
 #include "sim/kernel.h"
 #include "sim/log.h"
@@ -603,6 +604,60 @@ TEST(ShardCertifier, SystemConfigGateWarnsOrFaultsOnUnsoundPlan) {
     cfg2.lint = LintMode::kWarn;
     System sys2(cfg2);
     EXPECT_NO_THROW(sys2.run_cycles(1));
+}
+
+TEST(ShardCertifier, EightWayVerdictIsStable) {
+    auto sys = paper_system_with_sources();
+    const lint::ShardPlan a = sys->shard_plan(8);
+    const lint::ShardPlan b = sys->shard_plan(8);
+    EXPECT_FALSE(a.sound);
+    EXPECT_EQ(a.verdict, b.verdict);
+    EXPECT_NE(a.verdict.find("no safe 8-way cut"), std::string::npos);
+    EXPECT_NE(a.verdict.find("cheapest registerization"), std::string::npos);
+    EXPECT_EQ(a.cheapest_registerization, b.cheapest_registerization);
+    EXPECT_GE(a.unlocked_atoms, 8u);
+    ASSERT_EQ(a.blockers.size(), a.blocker_multiplicity.size());
+    for (unsigned m : a.blocker_multiplicity) EXPECT_GE(m, 1u);
+}
+
+TEST(ShardCertifier, UnderstatedLookaheadIsCaught) {
+    // Doctor a certified plan so every cut data edge claims far more
+    // lookahead than the netlist actually provides, then let the dynamic
+    // recorder watch a run. If the cross-check cannot flag this
+    // fabricated certificate, it could not flag a real certifier bug
+    // either.
+    SystemConfig cfg;
+    cfg.rpu_count = 8;
+    System sys(cfg);
+    fwlib::Program fw = fwlib::forwarder();
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    for (unsigned port = 0; port < 2; ++port) {
+        net::TrafficSpec tspec;
+        tspec.packet_size = 256;
+        tspec.seed = 7u * 2654435761u + port;
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
+        dist::TrafficSource::Config src;
+        src.port = port;
+        src.load = 0.7;
+        sys.add_source(src, [gen] { return gen->next(); });
+    }
+    lint::ShardPlan plan = sys.shard_plan(2);
+    ASSERT_TRUE(plan.sound);
+    ASSERT_FALSE(plan.cuts.empty());
+    for (lint::ShardCut& c : plan.cuts) c.edge.latency += 99;
+
+    obs::ShardLatencyRecorder rec(sys.kernel(), plan, nullptr,
+                                  /*fault_on_undercut=*/false);
+    sys.kernel().set_telemetry(&rec);
+    sys.run_cycles(10'000);
+    sys.kernel().set_telemetry(nullptr);
+
+    EXPECT_FALSE(rec.ok());
+    bool undercut_seen = false;
+    for (const obs::CutLatency& c : rec.observations())
+        if (c.undercut) undercut_seen = true;
+    EXPECT_TRUE(undercut_seen);
 }
 
 // --- DOT escaping -------------------------------------------------------------
