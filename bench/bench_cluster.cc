@@ -23,9 +23,6 @@
 
 #include "bench_common.h"
 #include "core/cluster.h"
-#ifdef ROSEBUD_SANITIZE
-#include "obs/shardcheck.h"
-#endif
 
 using namespace rosebud;
 
@@ -144,21 +141,6 @@ main(int argc, char** argv) {
         exp::ClusterResult r = exp::run_cluster(p);
         report("saturated", p, r, /*floor=*/false);
     }
-
-#ifdef ROSEBUD_SANITIZE
-    // Sanitized builds also run the dynamic lookahead cross-check: every
-    // cut net's observed latency must stay at or above its certified
-    // bound (obs::run_shard_check).
-    {
-        obs::ShardCheckSpec spec;
-        spec.shards = 2;
-        spec.run_cycles = 20'000;
-        obs::ShardCheckResult chk = obs::run_shard_check(spec);
-        std::printf("\nshard-check (sanitized): %s\n",
-                    chk.ok ? "ok" : "FAILED");
-        if (!chk.ok) ++failures;
-    }
-#endif
 
     return failures == 0 ? 0 : 1;
 }

@@ -13,8 +13,13 @@
 ///   $ ./examples/rosebud_cli verify --program firewall --dot fw.dot
 ///   $ ./examples/rosebud_cli lint --rpus 16 --dot netlist.dot
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -25,17 +30,48 @@
 #include "fuzz/corpus.h"
 #include "fuzz/driver.h"
 #include "lint/netlist.h"
-#include "lint/shard.h"
 #include "obs/harness.h"
 #include "obs/health.h"
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "oracle/harness.h"
+#include "sim/log.h"
 #include "verify/verifier.h"
 
 using namespace rosebud;
 
 namespace {
+
+/// The value of `--flag` as a whole unsigned integer no larger than `max`
+/// (`base` as for strtoull). Anything else — a sign, surrounding blanks,
+/// trailing characters, overflow — is a sim::fatal naming the flag.
+uint64_t
+parse_uint(const std::string& flag, const std::string& text, uint64_t max,
+           int base = 10) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, base);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+        sim::fatal("--" + flag + ": expected an unsigned integer, got '" + text + "'");
+    if (errno == ERANGE || v > max)
+        sim::fatal("--" + flag + ": " + text + " is out of range (max " +
+                   std::to_string(max) + ")");
+    return v;
+}
+
+/// The value of `--flag` as a whole, finite number; sim::fatal otherwise.
+double
+parse_f64(const std::string& flag, const std::string& text) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (std::isspace(static_cast<unsigned char>(text[0])) || end == text.c_str() ||
+        *end != '\0')
+        sim::fatal("--" + flag + ": expected a number, got '" + text + "'");
+    if (errno == ERANGE || !std::isfinite(v))
+        sim::fatal("--" + flag + ": " + text + " is out of range");
+    return v;
+}
 
 struct Args {
     std::string experiment;
@@ -44,11 +80,11 @@ struct Args {
     bool has(const std::string& k) const { return kv.count(k) > 0; }
     uint32_t u32(const std::string& k, uint32_t dflt) const {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : uint32_t(std::stoul(it->second));
+        return it == kv.end() ? dflt : uint32_t(parse_uint(k, it->second, UINT32_MAX));
     }
     double f64(const std::string& k, double dflt) const {
         auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stod(it->second);
+        return it == kv.end() ? dflt : parse_f64(k, it->second);
     }
     std::string str(const std::string& k, const std::string& dflt) const {
         auto it = kv.find(k);
@@ -93,15 +129,9 @@ usage() {
                  "             --json FILE (write the certificates as JSON)\n"
                  "             (static firmware verification; exits 1 on any error)\n"
                  "  lint       --rpus N (omit to sweep 4/8/16) --dot FILE\n"
-                 "             --shards [N] (certify a shard partition of the\n"
-                 "              paper configuration (an analysis only); bare\n"
-                 "              --shards sweeps 2/4/8-way plans; with --dot the\n"
-                 "              dump is annotated with shard clusters + cut edges)\n"
-                 "             --json FILE (netlist summary, violations and every\n"
-                 "              certified shard plan as JSON)\n"
+                 "             --json FILE (netlist summary and violations as JSON)\n"
                  "             (elaborate every shipped config and run the static\n"
-                 "              netlist checks; exits 1 on any violation or on an\n"
-                 "              internally inconsistent shard plan)\n"
+                 "              netlist checks; exits 1 on any violation)\n"
                  "  fuzz       --seed N --budget-ms N --cases N (per-generator cap)\n"
                  "             --gen fw|pkt|cfg|all --corpus DIR --no-minimize\n"
                  "             --verbose\n"
@@ -194,10 +224,8 @@ verify_one(const char* name, const fwlib::Program& prog, const std::string& dot_
     return r;
 }
 
-}  // namespace
-
 int
-main(int argc, char** argv) {
+run_cli(int argc, char** argv) {
     if (argc < 2) return usage();
     Args args;
     args.experiment = argv[1];
@@ -210,16 +238,6 @@ main(int argc, char** argv) {
             std::strcmp(argv[i], "--deep") == 0 ||
             std::strcmp(argv[i], "--inject-stall") == 0) {
             args.kv[argv[i] + 2] = "1";
-            continue;
-        }
-        // `--shards [N]` takes an optional count: bare --shards sweeps the
-        // default 2/4/8-way plans (value 0 is the sweep sentinel).
-        if (std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-                args.kv["shards"] = argv[++i];
-            } else {
-                args.kv["shards"] = "0";
-            }
             continue;
         }
         if (i + 1 >= argc) return usage();
@@ -423,10 +441,10 @@ main(int argc, char** argv) {
                 total += violations.size();
             }
         }
-        // Paper-configuration instance for the JSON export, the DOT dump
-        // and the shard-cut certifier. Two inert traffic sources attach
-        // the MAC boundary components the certified plans cut along (no
-        // cycle ever runs, so the generators are never called).
+        // Paper-configuration instance for the JSON export and the DOT
+        // dump. Two inert traffic sources attach the MAC boundary
+        // components (no cycle ever runs, so the generators are never
+        // called).
         SystemConfig cfg;
         cfg.rpu_count = rpu_counts.back();
         System sys(cfg);
@@ -438,36 +456,10 @@ main(int argc, char** argv) {
         auto paper_violations = sys.lint_check();
         total += paper_violations.size();
 
-        std::vector<unsigned> shard_counts;
-        if (args.has("shards")) {
-            unsigned n = args.u32("shards", 0);
-            if (n == 0) shard_counts = {2, 4, 8};
-            else shard_counts.push_back(n);
-        }
-        std::vector<lint::ShardPlan> plans;
-        size_t bad_plans = 0;
-        for (unsigned n : shard_counts) {
-            lint::ShardPlan plan = sys.shard_plan(n);
-            std::string why;
-            bool consistent = lint::validate_plan(sys.kernel(), plan, &why);
-            std::printf("%s", lint::plan_report(plan).c_str());
-            if (!consistent) {
-                std::printf("INCONSISTENT %u-shard plan: %s\n", n, why.c_str());
-                ++bad_plans;
-            }
-            plans.push_back(std::move(plan));
-        }
-
         std::string json_path = args.str("json", "");
         if (!json_path.empty()) {
             std::string json =
-                "{\"lint\":" + lint::lint_json(sys.kernel(), paper_violations) +
-                ",\"plans\":[";
-            for (size_t i = 0; i < plans.size(); ++i) {
-                if (i) json += ",";
-                json += lint::plan_json(plans[i]);
-            }
-            json += "]}\n";
+                "{\"lint\":" + lint::lint_json(sys.kernel(), paper_violations) + "}\n";
             if (FILE* f = std::fopen(json_path.c_str(), "w")) {
                 std::fwrite(json.data(), 1, json.size(), f);
                 std::fclose(f);
@@ -478,11 +470,7 @@ main(int argc, char** argv) {
             }
         }
         if (!dot.empty()) {
-            // With certified plans, dump the annotated partition view of
-            // the first (finest-grained sound intent is the 2-way plan);
-            // otherwise the plain netlist graph.
-            std::string graph = plans.empty() ? lint::to_dot(sys.kernel())
-                                              : lint::plan_dot(sys.kernel(), plans.front());
+            std::string graph = lint::to_dot(sys.kernel());
             if (FILE* f = std::fopen(dot.c_str(), "w")) {
                 std::fwrite(graph.data(), 1, graph.size(), f);
                 std::fclose(f);
@@ -495,10 +483,7 @@ main(int argc, char** argv) {
             std::printf("%zu lint violation(s)\n", total);
             return 1;
         }
-        if (bad_plans != 0) {
-            std::printf("%zu inconsistent shard plan(s)\n", bad_plans);
-            return 1;
-        }
+        std::printf("all configurations lint clean\n");
     } else if (args.experiment == "fuzz") {
         if (args.has("replay")) {
             // Replay one corpus file, or every *.case under a directory.
@@ -519,7 +504,7 @@ main(int argc, char** argv) {
             if (red != 0) return 1;
         } else {
             fuzz::FuzzPlan plan;
-            plan.seed = std::strtoull(args.str("seed", "1").c_str(), nullptr, 0);
+            plan.seed = parse_uint("seed", args.str("seed", "1"), UINT64_MAX, 0);
             plan.budget_ms = args.u32("budget-ms", 60'000);
             plan.max_cases = args.u32("cases", 0);
             std::string gen = args.str("gen", "all");
@@ -614,8 +599,8 @@ main(int argc, char** argv) {
                 size_t comma = list.find(',', start);
                 if (comma == std::string::npos) comma = list.size();
                 if (comma > start)
-                    s.packet_sizes.push_back(
-                        uint32_t(std::stoul(list.substr(start, comma - start))));
+                    s.packet_sizes.push_back(uint32_t(parse_uint(
+                        "sizes", list.substr(start, comma - start), UINT32_MAX)));
                 start = comma + 1;
             }
             if (s.packet_sizes.empty()) return usage();
@@ -730,4 +715,18 @@ main(int argc, char** argv) {
         break;
     }
     return 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char** argv) {
+    // A malformed flag value or an unusable configuration ends in
+    // sim::fatal, which has already printed the diagnostic to stderr:
+    // exit like a usage error rather than abort on the uncaught throw.
+    try {
+        return run_cli(argc, argv);
+    } catch (const sim::FatalError&) {
+        return 2;
+    }
 }

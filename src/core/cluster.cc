@@ -5,7 +5,6 @@
 
 #include "core/system.h"
 #include "firmware/programs.h"
-#include "net/flow.h"
 #include "net/tracegen.h"
 
 namespace rosebud::exp {
@@ -21,23 +20,17 @@ now_s() {
 
 /// The flow subset board `board` owns out of the global port stream: a
 /// fresh TraceGenerator with the *same* seed on every board, filtered by
-/// the same pure flow-hash the front-end sharder routes by. Every board
-/// (and its standalone reference run) therefore sees an identical,
-/// deterministic sub-stream — the bit-for-bit equivalence hinges on this.
+/// the front-end sharder's own routing decision. Every board (and its
+/// standalone reference run) therefore sees an identical, deterministic
+/// sub-stream — the bit-for-bit equivalence hinges on this.
 dist::TrafficSource::GenFn
 board_subset_gen(const ClusterParams& p, unsigned board, unsigned port) {
     net::TrafficSpec spec;
     spec.packet_size = p.packet_size;
     spec.seed = p.seed * 2654435761u + port;
     auto gen = std::make_shared<net::TraceGenerator>(spec, nullptr, nullptr);
-    const unsigned boards = p.boards;
-    return [gen, board, boards]() -> net::PacketPtr {
-        for (;;) {
-            net::PacketPtr pkt = gen->next();
-            if (!pkt) return pkt;
-            if (net::packet_flow_hash(*pkt) % boards == board) return pkt;
-        }
-    };
+    return dist::board_filter([gen] { return gen->next(); },
+                              dist::EcmpSharder(p.boards), board);
 }
 
 struct BoardRun {

@@ -27,7 +27,6 @@
 #include "host/host.h"
 #include "lb/load_balancer.h"
 #include "lint/netlist.h"
-#include "lint/shard.h"
 #include "msg/broadcast.h"
 #include "rpu/rpu.h"
 #include "sim/kernel.h"
@@ -66,11 +65,6 @@ struct SystemConfig {
     uint64_t wcet_budget_cycles = 0;
     /// Elaboration-time netlist lint policy (see LintMode).
     LintMode lint = LintMode::kEnforce;
-    /// When non-zero, the pre-cycle-0 gate also runs the shard-cut
-    /// certifier (lint::certify_partition) for this shard count and
-    /// applies the LintMode policy to an unsound verdict. An analysis
-    /// only: kernel scheduling is unchanged.
-    unsigned certify_shards = 0;
 };
 
 /// PR region capacities of the pre-laid-out floorplans (paper Figures 5-6;
@@ -148,12 +142,6 @@ class System {
     /// VU9P). Returns every violation found (empty = clean). This is what
     /// the automatic pre-cycle-0 gate runs under LintMode::kEnforce/kWarn.
     std::vector<lint::Violation> lint_check() const;
-
-    /// Certified shard partition of the elaborated netlist (see
-    /// lint/shard.h). Purely analytical: does not change scheduling.
-    /// Certify after all wiring (sources, accelerators) is declared —
-    /// any later declare_net/declare_port invalidates the plan.
-    lint::ShardPlan shard_plan(unsigned shards) const;
 
     /// Order-insensitive digest of the architecturally visible state:
     /// every stats counter, sink frame/byte/latency records, per-RPU

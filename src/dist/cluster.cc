@@ -46,6 +46,17 @@ EcmpSharder::imbalance() const {
     return fair > 0 ? double(hi) / fair - 1.0 : 0.0;
 }
 
+TrafficSource::GenFn
+board_filter(TrafficSource::GenFn upstream, const EcmpSharder& sharder,
+             unsigned board) {
+    return [upstream = std::move(upstream), sharder, board]() -> net::PacketPtr {
+        for (;;) {
+            net::PacketPtr pkt = upstream();
+            if (!pkt || sharder.board_for(*pkt) == board) return pkt;
+        }
+    };
+}
+
 InterBoardLink::InterBoardLink() : InterBoardLink(Config{}) {}
 
 InterBoardLink::InterBoardLink(const Config& cfg)

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dist/traffic.h"
 #include "net/packet.h"
 #include "sim/kernel.h"
 
@@ -61,6 +62,13 @@ class EcmpSharder {
     std::vector<uint64_t> frames_;
     std::vector<uint64_t> bytes_;
 };
+
+/// The frames of `upstream` that `sharder` routes to `board`, in order:
+/// frames for other boards are drawn and dropped, so every board fed a
+/// copy of the same port stream sees exactly its front-end share. The
+/// filter keeps its own copy of `sharder` and asks only board_for().
+TrafficSource::GenFn board_filter(TrafficSource::GenFn upstream,
+                                  const EcmpSharder& sharder, unsigned board);
 
 /// Offline token-bucket model of one 100G front-end-to-board link with a
 /// fixed propagation/SerDes latency. `transfer` answers "when does a

@@ -79,19 +79,19 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // MAC-side FIFOs: depth in 512-bit words. The wire side is external.
     // mac_rx admission works on a committed+staged snapshot (see
     // IngressSource: admission cannot observe same-cycle pops), so its
-    // credit return is registered — one cycle of provable lookahead on the
-    // source->fabric feedback edge. mac_tx drains self-paced onto the line
-    // (the sink never returns credit), so no feedback edge exists at all.
+    // credit return is registered: the source gets a wake edge on it.
+    // mac_tx drains self-paced onto the line (the sink never returns
+    // credit), so the fabric has nothing to wake on.
     for (unsigned p = 0; p < 2; ++p) {
         std::string rx = "fabric.mac_rx.p" + std::to_string(p);
         source_net_[p] = kernel.declare_net(
             {rx, NetRecord::kFifo, kSw, config_.mac_rx_fifo_bytes / 64,
-             sim::kNetExternalSource, NetRecord::kCreditRegistered});
+             sim::kNetExternalSource | sim::kNetRegisteredCredit});
         kernel.declare_port({name(), rx, PortRecord::kRead, kSw, 0});
         std::string tx = "fabric.mac_tx.p" + std::to_string(p);
         mac_tx_net_[p] = kernel.declare_net(
             {tx, NetRecord::kFifo, kSw, config_.mac_tx_fifo_bytes / 64,
-             sim::kNetExternalSink, NetRecord::kCreditNone});
+             sim::kNetExternalSink});
         kernel.declare_port({name(), tx, PortRecord::kWrite, kSw,
                              config_.mac_tx_fifo_bytes / 64});
     }
@@ -102,11 +102,10 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
     // internal accounting, not a reader-side return).
     source_net_[kSrcHost] = kernel.declare_net(
         {"fabric.host_q", NetRecord::kFifo, kSw, config_.host_queue_packets,
-         sim::kNetExternalSource, NetRecord::kCreditRegistered});
+         sim::kNetExternalSource | sim::kNetRegisteredCredit});
     kernel.declare_port({name(), "fabric.host_q", PortRecord::kRead, kSw, 0});
     host_out_net_ = kernel.declare_net({"fabric.host_out", NetRecord::kFifo, kSw,
-                                        config_.pcie_tags, sim::kNetExternalSink,
-                                        NetRecord::kCreditNone});
+                                        config_.pcie_tags, sim::kNetExternalSink});
     kernel.declare_port(
         {name(), "fabric.host_out", PortRecord::kWrite, kSw, config_.pcie_tags});
     source_net_[kSrcLoopback] = kernel.declare_net(
@@ -130,8 +129,8 @@ Fabric::declare_netlist(sim::Kernel& kernel) {
         // pops), so the RPU-facing credit return is registered.
         std::string e = "fabric.egress.r" + rn;
         egress_net_.push_back(kernel.declare_net({e, NetRecord::kFifo, 128,
-                                                  config_.egress_queue_depth, 0,
-                                                  NetRecord::kCreditRegistered}));
+                                                  config_.egress_queue_depth,
+                                                  sim::kNetRegisteredCredit}));
         kernel.declare_port(
             {rpus_[r]->name(), e, PortRecord::kWrite, 128, config_.egress_queue_depth});
         kernel.declare_port({name(), e, PortRecord::kRead, 128, 0});

@@ -55,11 +55,9 @@ class Fifo : public Clocked {
           credit_(credit) {
         assert(capacity >= 1);
         kernel.add_clocked(this, /*lazy=*/true);
-        net_ = kernel.declare_net({name_, NetRecord::kFifo, width_bits, capacity_,
-                                   net_flags,
-                                   credit == CreditPolicy::kRegistered
-                                       ? NetRecord::kCreditRegistered
-                                       : NetRecord::kCreditSkid});
+        if (credit == CreditPolicy::kRegistered) net_flags |= kNetRegisteredCredit;
+        net_ = kernel.declare_net(
+            {name_, NetRecord::kFifo, width_bits, capacity_, net_flags});
         // Raw-field read (not size()): probes run in the host phase where
         // the race checks are moot, and must not emit telemetry events.
         kernel.register_occupancy_probe(

@@ -164,7 +164,7 @@ Kernel::build_wake_map() {
         const NetId net = intern_net(p.net);
         if (p.dir == PortRecord::kWrite) {
             const NetRecord* rec = net_record(net);
-            if (!rec || rec->credit != NetRecord::kCreditRegistered) continue;
+            if (!rec || !(rec->flags & kNetRegisteredCredit)) continue;
         }
         auto it = by_name.find(p.component);
         if (it == by_name.end()) continue;  // external endpoint (host, wire)

@@ -101,6 +101,14 @@ enum NetFlag : unsigned {
     kNetMultiWriter = 1u << 2,
     /// Fan-out is allowed (> 1 reader component, e.g. broadcast delivery).
     kNetMultiReader = 1u << 3,
+    /// The writer's admission check reads registered credit (committed +
+    /// staged occupancy), so a reader-side pop at cycle N frees space the
+    /// writer first sees at N+1. Kernel::build_wake_map therefore gives the
+    /// writer a wake edge on the net: a producer asleep on a full FIFO must
+    /// tick again when a pop opens space. Skid-buffer credit needs no such
+    /// edge (pusher and popper are one component), nor do self-paced drains
+    /// such as the MAC TX line, which return no credit.
+    kNetRegisteredCredit = 1u << 4,
 };
 
 /// One registered communication element: a Fifo/Reg primitive or an
@@ -111,24 +119,11 @@ enum NetFlag : unsigned {
 struct NetRecord {
     enum Kind : uint8_t { kFifo, kReg, kLink };
 
-    /// Credit-return discipline the writer observes, declared so the
-    /// shard-cut certifier (lint/shard.h) can prove reverse-edge latency:
-    /// a registered credit return means a reader-side pop at cycle N is
-    /// first visible to the writer's admission check at N+1 (one cycle of
-    /// lookahead on the reader->writer feedback edge), while a skid-buffer
-    /// credit is combinational (zero latency). kCreditNone states the
-    /// writer never observes reader-side credit at all (self-paced drains
-    /// such as the MAC TX line), so no feedback edge exists.
-    enum CreditKind : uint8_t { kCreditNone, kCreditSkid, kCreditRegistered };
-
     std::string name;        ///< unique instance name, e.g. "rpu3.rx_fifo"
     Kind kind = kFifo;
     unsigned width_bits = 0; ///< datapath width (0 = unspecified)
     size_t depth = 0;        ///< entries (fifo capacity; 1 for reg/link)
     unsigned flags = 0;      ///< NetFlag bits
-    /// Conservative default: an unspecified credit path is assumed
-    /// combinational, which can only under-state lookahead, never claim it.
-    CreditKind credit = kCreditSkid;
 };
 
 /// A directed endpoint: `component` writes to / reads from `net`.

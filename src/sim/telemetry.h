@@ -87,8 +87,8 @@ class TelemetrySink {
     /// the per-cycle classification window here.
     virtual void end_cycle(uint64_t completed) = 0;
 
-    /// Resolve names through `kernel`: Kernel::set_telemetry binds the
-    /// attached sink, and a chaining sink binds its successor.
+    /// Resolve names through `kernel` (Kernel::set_telemetry binds the
+    /// attached sink).
     void bind(const Kernel& kernel) { bound_kernel_ = &kernel; }
 
  private:

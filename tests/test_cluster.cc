@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "core/cluster.h"
 #include "dist/cluster.h"
 #include "net/flow.h"
@@ -35,6 +38,51 @@ TEST(Cluster, EcmpSharderIsFlowConsistent) {
     EXPECT_EQ(sharder.total_frames(), 2'000u);
     // Many flows must spread over every board without gross imbalance.
     EXPECT_LT(sharder.imbalance(), 0.5);
+}
+
+/// The per-board filters over one port stream must split it exactly as
+/// the front end routes it. The per-board fingerprint gate cannot catch a
+/// filter that hands a board the wrong flows: at low load the forwarder
+/// reaches the same fingerprint whichever flows a board gets.
+TEST(Cluster, BoardSubsetsPartitionThePortStream) {
+    constexpr unsigned kBoards = 4;
+    constexpr uint64_t kFrames = 2'000;
+    net::TrafficSpec tspec;
+    tspec.packet_size = 256;
+    tspec.seed = 1u * 2654435761u;
+    // A fresh, finite copy of the port stream per consumer.
+    auto port_stream = [&] {
+        auto gen = std::make_shared<net::TraceGenerator>(tspec, nullptr, nullptr);
+        auto drawn = std::make_shared<uint64_t>(0);
+        return dist::TrafficSource::GenFn([gen, drawn]() -> net::PacketPtr {
+            return (*drawn)++ < kFrames ? gen->next() : nullptr;
+        });
+    };
+
+    std::map<uint64_t, net::PacketPtr> unfiltered;
+    dist::TrafficSource::GenFn all = port_stream();
+    while (net::PacketPtr pkt = all()) unfiltered.emplace(pkt->id, pkt);
+    ASSERT_EQ(unfiltered.size(), kFrames);
+
+    const dist::EcmpSharder sharder(kBoards);
+    std::map<uint64_t, unsigned> owner;
+    for (unsigned b = 0; b < kBoards; ++b) {
+        dist::TrafficSource::GenFn mine = dist::board_filter(port_stream(), sharder, b);
+        uint64_t got = 0;
+        while (net::PacketPtr pkt = mine()) {
+            ++got;
+            EXPECT_EQ(sharder.board_for(*pkt), b) << "frame " << pkt->id;
+            auto [it, fresh] = owner.emplace(pkt->id, b);
+            EXPECT_TRUE(fresh) << "frame " << pkt->id << " reached boards "
+                               << it->second << " and " << b;
+            auto ref = unfiltered.find(pkt->id);
+            ASSERT_NE(ref, unfiltered.end()) << "frame " << pkt->id;
+            EXPECT_EQ(pkt->data, ref->second->data) << "frame " << pkt->id;
+        }
+        EXPECT_GT(got, 0u) << "board " << b << " received nothing";
+    }
+    // Disjoint (checked above) and covering: the union is the whole stream.
+    EXPECT_EQ(owner.size(), unfiltered.size());
 }
 
 TEST(Cluster, InterBoardLinkModelsSerializationAndQueueing) {

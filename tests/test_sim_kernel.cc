@@ -287,10 +287,10 @@ TEST(Quiescence, TickPlusSkippedAccountingIsExact) {
 
 // --- registered-credit wake edges ---------------------------------------------
 //
-// A kCreditRegistered FIFO returns credit with one cycle of latency, so a
-// pop is an observable event for the *writer*: the wake map must include
-// the writer as a wake target, or a producer sleeping on a full FIFO
-// never learns that space opened.
+// A registered-credit FIFO (kNetRegisteredCredit) returns credit with one
+// cycle of latency, so a pop is an observable event for the *writer*: the
+// wake map must include the writer as a wake target, or a producer
+// sleeping on a full FIFO never learns that space opened.
 
 TEST(Quiescence, WakeMapIncludesRegisteredCreditWriters) {
     Kernel k;
