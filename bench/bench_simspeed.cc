@@ -1,8 +1,9 @@
 /// Simulation-speed benchmark (host time, not simulated time).
 ///
 /// Two execution modes of the same workloads:
-///  * reference — predecode off, idle skipping off, commit-compat: the
-///    plain interpret-everything two-phase kernel;
+///  * reference — predecode off, idle skipping off: the eager kernel, which
+///    interprets every issued instruction and ticks every component every
+///    cycle;
 ///  * tuned     — predecoded RV32 dispatch + quiescence skipping and timed
 ///    sleep (the defaults every experiment harness runs with).
 ///
@@ -10,12 +11,12 @@
 /// fingerprinted (System::state_fingerprint) and any divergence aborts the
 /// benchmark — speed from a wrong simulation is meaningless. The headline
 /// number is the tuned-vs-reference host-time speedup on the Figure 7
-/// forwarding sweep (target: >= 2x).
+/// forwarding sweep, whose floor bench/check_regression.py gates. Host time
+/// is process CPU time (sim/host_time.h).
 ///
 /// Set ROSEBUD_BENCH_JSON=<dir> to export machine-readable rows.
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -26,28 +27,21 @@
 #include "firmware/programs.h"
 #include "net/tracegen.h"
 #include "obs/health.h"
+#include "sim/host_time.h"
 
 using namespace rosebud;
 
 namespace {
-
-double
-now_s() {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 struct Mode {
     const char* name;
     exp::SimTuning tuning;
 };
 
-// "reference" is the pre-fast-path kernel regime: interpretive decode on
-// every issue, every component and clocked primitive ticked/committed every
-// cycle, no datapath scan guards (commit_compat).
+// "reference" is the eager kernel: interpretive decode on every issue and
+// every component ticked every cycle (tuned must match it bit for bit).
 const Mode kModes[] = {
-    {"reference", {.predecode = false, .idle_skip = false, .commit_compat = true}},
+    {"reference", {.predecode = false, .idle_skip = false}},
     {"tuned", {.predecode = true, .idle_skip = true}},
 };
 
@@ -70,7 +64,7 @@ RunResult
 run_pipeline(Pipeline which, const exp::SimTuning& t,
              const obs::HealthConfig* health = nullptr,
              uint64_t run_cycles = 60'000) {
-    double t0 = now_s();
+    double t0 = sim::host_cpu_seconds();
 
     SystemConfig cfg;
     cfg.rpu_count = 8;
@@ -87,7 +81,6 @@ run_pipeline(Pipeline which, const exp::SimTuning& t,
     System sys(cfg);
 
     sys.kernel().set_idle_skip(t.idle_skip);
-    sys.kernel().set_commit_compat(t.commit_compat);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(t.predecode);
 
@@ -133,7 +126,7 @@ run_pipeline(Pipeline which, const exp::SimTuning& t,
     // Fingerprint taken while the monitor is still attached: the health
     // layer must not perturb a single bit of architectural state.
     out.fingerprint = sys.state_fingerprint();
-    out.host_s = now_s() - t0;
+    out.host_s = sim::host_cpu_seconds() - t0;
     if (mon) {
         mon->flush_epoch();
         mon->detach();
@@ -150,26 +143,36 @@ pipeline_name(Pipeline p) {
     }
 }
 
+struct Fig7Sweep {
+    double host_s[2] = {0, 0};                     ///< per kModes entry
+    std::vector<exp::ForwardingPoint> points[2];  ///< per kModes entry
+    uint64_t cycles = 0;                          ///< per mode
+};
+
 /// The Figure 7a forwarding sweep (16 RPUs, 2x100G, every packet size)
-/// under one tuning; all simulated results are returned for cross-mode
-/// equality checking.
-double
-fig7_sweep(const exp::SimTuning& t, std::vector<exp::ForwardingPoint>& points,
-           uint64_t& cycles) {
-    exp::set_sim_tuning(t);
-    points.clear();
-    cycles = 0;
-    double host = 0;
+/// under both modes, interleaved point by point with the order alternating,
+/// so slow host drift hits both modes alike. All simulated results are
+/// returned for cross-mode equality checking.
+Fig7Sweep
+fig7_sweep() {
+    Fig7Sweep out;
+    unsigned k = 0;
     for (uint32_t size : exp::figure7_sizes()) {
         exp::ForwardingParams p;
         p.rpu_count = 16;
         p.size = size;
         p.ports = 2;
-        points.push_back(exp::run_forwarding(p));
-        host += exp::last_run_host_seconds();
-        cycles += 500 + p.warmup + p.window;
+        for (unsigned i = 0; i < 2; ++i) {
+            const unsigned m = (k + i) % 2;
+            exp::set_sim_tuning(kModes[m].tuning);
+            out.points[m].push_back(exp::run_forwarding(p));
+            out.host_s[m] += exp::last_run_host_seconds();
+        }
+        out.cycles += 500 + p.warmup + p.window;
+        ++k;
     }
-    return host;
+    exp::set_sim_tuning({});
+    return out;
 }
 
 }  // namespace
@@ -183,31 +186,33 @@ main() {
     std::printf("%-10s %-10s %10s %14s %14s %18s\n", "workload", "mode", "host(s)",
                 "Mcycles/s", "kpkts/s", "fingerprint");
     for (Pipeline w : {Pipeline::kForwarder, Pipeline::kFirewall, Pipeline::kPigasus}) {
-        uint64_t ref_fp = 0;
-        double ref_s = 0;
-        for (const Mode& m : kModes) {
-            // Long runs + best-of-3: these per-mode rows feed the
-            // perf-regression gate (bench/check_regression.py), which
-            // applies a 10% tolerance — the timing floor has to be stable
-            // to a few percent for that to hold on shared machines.
-            const uint64_t kGateCycles = 240'000;
-            RunResult r = run_pipeline(w, m.tuning, nullptr, kGateCycles);
-            for (int rep = 1; rep < 3; ++rep) {
-                RunResult again = run_pipeline(w, m.tuning, nullptr, kGateCycles);
-                if (again.host_s < r.host_s) r = again;
+        // Long runs + best-of-3: these per-mode rows feed the
+        // perf-regression gate (bench/check_regression.py), which applies
+        // a 10% tolerance — the timing floor has to be stable to a few
+        // percent for that to hold on shared machines. The modes alternate
+        // rep by rep so slow host drift hits both alike.
+        const uint64_t kGateCycles = 240'000;
+        RunResult best[2];
+        for (int rep = 0; rep < 3; ++rep) {
+            for (unsigned i = 0; i < 2; ++i) {
+                const unsigned m = (rep + i) % 2;
+                RunResult r = run_pipeline(w, kModes[m].tuning, nullptr, kGateCycles);
+                if (rep == 0 || r.host_s < best[m].host_s) best[m] = r;
             }
-            if (m.tuning.predecode == false) {
-                ref_fp = r.fingerprint;
-                ref_s = r.host_s;
-            }
+        }
+        const uint64_t ref_fp = best[0].fingerprint;
+        const double ref_s = best[0].host_s;
+        for (unsigned m = 0; m < 2; ++m) {
+            const RunResult& r = best[m];
+            const char* mode = kModes[m].name;
             bool match = r.fingerprint == ref_fp;
             std::printf("%-10s %-10s %10.3f %14.2f %14.1f   0x%016llx%s\n",
-                        pipeline_name(w), m.name, r.host_s,
+                        pipeline_name(w), mode, r.host_s,
                         double(r.cycles) / r.host_s / 1e6,
                         double(r.packets) / r.host_s / 1e3,
                         (unsigned long long)r.fingerprint, match ? "" : "  MISMATCH");
             json.row({{"workload", pipeline_name(w)},
-                      {"mode", m.name},
+                      {"mode", mode},
                       {"host_s", bench::num(r.host_s)},
                       {"cycles", std::to_string(r.cycles)},
                       {"packets", std::to_string(r.packets)},
@@ -218,7 +223,7 @@ main() {
             if (!match) {
                 std::fprintf(stderr,
                              "FATAL: %s/%s fingerprint diverges from reference\n",
-                             pipeline_name(w), m.name);
+                             pipeline_name(w), mode);
                 ++failures;
             }
         }
@@ -294,28 +299,29 @@ main() {
     }
 
     bench::heading("Figure 7a forwarding sweep: reference vs tuned host time");
-    std::vector<exp::ForwardingPoint> ref_pts, tuned_pts;
-    uint64_t cycles = 0;
-    double ref_s = fig7_sweep(kModes[0].tuning, ref_pts, cycles);
-    double tuned_s = fig7_sweep(kModes[1].tuning, tuned_pts, cycles);
-    exp::set_sim_tuning({});
+    const Fig7Sweep sweep = fig7_sweep();
+    const auto& ref_pts = sweep.points[0];
+    const auto& tuned_pts = sweep.points[1];
+    const double ref_s = sweep.host_s[0];
+    const double tuned_s = sweep.host_s[1];
+    bool diverged = false;
     for (size_t i = 0; i < ref_pts.size(); ++i) {
         // Exactness gate: the speedups must not change a single result.
         if (ref_pts[i].achieved_gbps != tuned_pts[i].achieved_gbps ||
             ref_pts[i].achieved_mpps != tuned_pts[i].achieved_mpps) {
             std::fprintf(stderr, "FATAL: tuned sweep diverges at size %u\n",
                          ref_pts[i].size);
+            diverged = true;
             ++failures;
         }
     }
     double speedup = ref_s / tuned_s;
-    std::printf("reference: %.2f s   tuned: %.2f s   speedup: %.2fx "
-                "(target >= 2.0x)   results: %s\n",
-                ref_s, tuned_s, speedup, failures == 0 ? "identical" : "DIVERGED");
+    std::printf("reference: %.2f s   tuned: %.2f s   speedup: %.2fx   results: %s\n",
+                ref_s, tuned_s, speedup, diverged ? "DIVERGED" : "identical");
     json.row({{"workload", "fig7_sweep"},
               {"reference_s", bench::num(ref_s)},
               {"tuned_s", bench::num(tuned_s)},
-              {"cycles", std::to_string(cycles)},
+              {"cycles", std::to_string(sweep.cycles)},
               {"speedup", bench::num(speedup)}});
 
     return failures == 0 ? 0 : 1;

@@ -15,7 +15,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +34,7 @@
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "oracle/harness.h"
+#include "sim/host_time.h"
 #include "sim/log.h"
 #include "verify/verifier.h"
 
@@ -249,7 +249,7 @@ run_cli(int argc, char** argv) {
     tuning.idle_skip = !args.has("no-idle-skip");
     tuning.predecode = !args.has("no-predecode");
     exp::set_sim_tuning(tuning);
-    auto host_t0 = std::chrono::steady_clock::now();
+    const double host_t0 = sim::host_cpu_seconds();
 
     if (args.experiment == "forward") {
         exp::ForwardingParams p;
@@ -705,10 +705,8 @@ run_cli(int argc, char** argv) {
                                    "profile",  "health",    "cluster"};
     for (const char* name : kTimed) {
         if (args.experiment != name) continue;
-        double host_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - host_t0)
-                            .count();
-        std::printf("[host] %s: %.2f s host time (predecode=%s, idle-skip=%s)\n",
+        const double host_s = sim::host_cpu_seconds() - host_t0;
+        std::printf("[host] %s: %.2f s host CPU time (predecode=%s, idle-skip=%s)\n",
                     args.experiment.c_str(), host_s,
                     tuning.predecode ? "on" : "off",
                     tuning.idle_skip ? "on" : "off");
@@ -722,11 +720,12 @@ run_cli(int argc, char** argv) {
 int
 main(int argc, char** argv) {
     // A malformed flag value or an unusable configuration ends in
-    // sim::fatal, which has already printed the diagnostic to stderr:
-    // exit like a usage error rather than abort on the uncaught throw.
+    // sim::fatal, which throws without printing: print the diagnostic once
+    // here and exit like a usage error rather than abort.
     try {
         return run_cli(argc, argv);
-    } catch (const sim::FatalError&) {
+    } catch (const sim::FatalError& e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
         return 2;
     }
 }

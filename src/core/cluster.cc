@@ -1,22 +1,15 @@
 #include "core/cluster.h"
 
-#include <chrono>
 #include <memory>
 
 #include "core/system.h"
 #include "firmware/programs.h"
 #include "net/tracegen.h"
+#include "sim/host_time.h"
 
 namespace rosebud::exp {
 
 namespace {
-
-double
-now_s() {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /// The flow subset board `board` owns out of the global port stream: a
 /// fresh TraceGenerator with the *same* seed on every board, filtered by
@@ -65,14 +58,14 @@ run_board(const ClusterParams& p, unsigned board, bool reference) {
                        board_subset_gen(p, board, port));
     }
 
-    double t0 = now_s();
+    double t0 = sim::host_cpu_seconds();
     sys.run_cycles(p.warmup);
     for (unsigned port = 0; port < p.ports; ++port)
         sys.sink(port).start_window();
     sys.run_cycles(p.window);
 
     BoardRun out;
-    out.host_s = now_s() - t0;
+    out.host_s = sim::host_cpu_seconds() - t0;
     out.fingerprint = sys.state_fingerprint();
     for (unsigned port = 0; port < p.ports; ++port) {
         out.frames += sys.sink(port).window_frames();

@@ -1,12 +1,12 @@
 #include "core/experiments.h"
 
-#include <chrono>
 #include <memory>
 
 #include "accel/firewall.h"
 #include "accel/pigasus.h"
 #include "firmware/programs.h"
 #include "net/headers.h"
+#include "sim/host_time.h"
 #include "sim/log.h"
 
 namespace rosebud::exp {
@@ -20,20 +20,15 @@ double g_last_host_seconds = 0.0;
 void
 apply_tuning(System& sys) {
     sys.kernel().set_idle_skip(g_tuning.idle_skip);
-    sys.kernel().set_commit_compat(g_tuning.commit_compat);
     for (unsigned i = 0; i < sys.rpu_count(); ++i)
         sys.rpu(i).core().set_predecode(g_tuning.predecode);
 }
 
-/// RAII wall-clock timer recording into last_run_host_seconds(); one per
-/// run_* harness so callers can print a host-time summary per experiment.
+/// RAII host CPU-time timer recording into last_run_host_seconds(); one
+/// per run_* harness so callers can print a host-time summary per experiment.
 struct HostTimer {
-    std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-    ~HostTimer() {
-        g_last_host_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-    }
+    double t0 = sim::host_cpu_seconds();
+    ~HostTimer() { g_last_host_seconds = sim::host_cpu_seconds() - t0; }
 };
 
 }  // namespace

@@ -28,9 +28,6 @@ namespace rosebud::exp {
 struct SimTuning {
     bool predecode = true;      ///< rv::Core decoded-instruction cache
     bool idle_skip = true;      ///< kernel quiescence skipping + timed sleep
-    /// Benchmarking only: restore the pre-fast-path per-cycle commit and
-    /// scan regime (sim::Kernel::set_commit_compat) as the A/B reference.
-    bool commit_compat = false;
 };
 
 /// Install process-wide tuning for subsequent run_* calls (the bench
@@ -38,7 +35,7 @@ struct SimTuning {
 void set_sim_tuning(const SimTuning& t);
 const SimTuning& sim_tuning();
 
-/// Host wall-clock seconds consumed by the most recent run_* call.
+/// Host CPU seconds consumed by the most recent run_* call.
 double last_run_host_seconds();
 
 /// Packet sizes evaluated in Figure 7 (powers of two plus the worst-case

@@ -17,7 +17,6 @@ Fabric::Fabric(sim::Kernel& kernel, sim::Stats& stats, const FabricConfig& confi
                lb::LoadBalancer& lb, std::vector<rpu::Rpu*> rpus)
     : sim::Component(kernel, "fabric"),
       config_(config),
-      stats_(stats),
       lb_(lb),
       rpus_(std::move(rpus)),
       rpus_per_cluster_((config.rpu_count + config.clusters - 1) / config.clusters),
@@ -149,17 +148,8 @@ Fabric::mac_rx(unsigned port, net::PacketPtr pkt) {
     // Host-phase arrivals mutate sleeper-visible queues: settle the skipped
     // window first. (Tick-phase arrivals are staged; wake() accounts them.)
     if (!in_tick) flush_skipped();
-    if (kernel().commit_compat()) {
-        // Seed parity: the pre-fast-path code looked these counters up by a
-        // freshly built string key on every frame (same at the other
-        // per-packet counter sites below and in Rpu/TrafficSink).
-        std::string pn = "port" + std::to_string(port);
-        stats_.counter(pn + ".rx_frames").add();
-        stats_.counter(pn + ".rx_bytes").add(pkt->size());
-    } else {
-        ctr_rx_frames_[port]->add();
-        ctr_rx_bytes_[port]->add(pkt->size());
-    }
+    ctr_rx_frames_[port]->add();
+    ctr_rx_bytes_[port]->add(pkt->size());
     pkt->in_iface = net::Iface(port);
 
     // The hardware reassembler (when configured into the LB) sits before
@@ -289,7 +279,7 @@ Fabric::commit() {
     // Every path that stages a packet or mutates a committed queue (pop,
     // push, loopback re-entry) raises commit_dirty_; on untouched cycles
     // both integration loops below are identity refreshes and are skipped.
-    if (!commit_dirty_ && !kernel().commit_compat()) return;
+    if (!commit_dirty_) return;
     commit_dirty_ = false;
     for (unsigned s = 0; s < kSourceCount; ++s) {
         IngressSource& src = sources_[s];
@@ -318,6 +308,40 @@ Fabric::commit() {
     }
 }
 
+std::string
+Fabric::scan_counter_mismatch() const {
+    auto differs = [](const std::string& what, size_t counter, size_t recount) {
+        return what + " is " + std::to_string(counter) + ", a full scan counts " +
+               std::to_string(recount);
+    };
+    size_t voq_total = 0;
+    for (unsigned r = 0; r < config_.rpu_count; ++r) {
+        size_t n = 0;
+        for (unsigned s = 0; s < kSourceCount; ++s) n += voqs_[r * kSourceCount + s].size();
+        if (n != voq_pkts_rpu_[r])
+            return differs("voq_pkts_rpu[" + std::to_string(r) + "]", voq_pkts_rpu_[r], n);
+        voq_total += n;
+    }
+    if (voq_total != voq_pkts_) return differs("voq_pkts", voq_pkts_, voq_total);
+    size_t egress_total = 0;
+    size_t per_dest[kSourceCount] = {0, 0, 0, 0};
+    for (const auto& q : egress_queues_) {
+        egress_total += q.size();
+        for (const TimedPkt& tp : q) {
+            const unsigned d = unsigned(tp.pkt->out_iface);
+            if (d < kSourceCount) ++per_dest[d];
+        }
+    }
+    if (egress_total != egress_pkts_) return differs("egress_pkts", egress_pkts_, egress_total);
+    for (unsigned d = 0; d < kSourceCount; ++d) {
+        if (per_dest[d] != egress_pkts_dest_[d]) {
+            return differs("egress_pkts_dest[" + std::to_string(d) + "]",
+                           egress_pkts_dest_[d], per_dest[d]);
+        }
+    }
+    return "";
+}
+
 void
 Fabric::set_mac_tx_sink(unsigned port, SinkFn fn) {
     mac_tx_[port].sink = std::move(fn);
@@ -330,10 +354,9 @@ Fabric::set_host_sink(SinkFn fn) {
 
 void
 Fabric::tick() {
-    const bool compat = kernel().commit_compat();
     for (unsigned s = 0; s < kSourceCount; ++s) {
         const IngressSource& src = sources_[s];
-        if (!compat && src.issue_cd == 0 && !src.active && !src.stalled &&
+        if (src.issue_cd == 0 && !src.active && !src.stalled &&
             src.queue.empty()) {
             continue;
         }
@@ -428,10 +451,9 @@ Fabric::tick_ingress_source(unsigned s) {
 
 void
 Fabric::tick_rpu_links() {
-    const bool compat = kernel().commit_compat();
-    if (voq_pkts_ == 0 && !compat) return;
+    if (voq_pkts_ == 0) return;
     for (unsigned r = 0; r < config_.rpu_count; ++r) {
-        if (voq_pkts_rpu_[r] == 0 && !compat) continue;
+        if (voq_pkts_rpu_[r] == 0) continue;
         rpu::Rpu* rpu = rpus_[r];
         if (!rpu->rx_ready()) continue;
         for (unsigned i = 0; i < kSourceCount; ++i) {
@@ -453,8 +475,7 @@ Fabric::tick_rpu_links() {
 
 void
 Fabric::tick_egress() {
-    const bool compat = kernel().commit_compat();
-    if (egress_pkts_ == 0 && !compat) {
+    if (egress_pkts_ == 0) {
         bool busy = false;
         for (const EgressDest& d : egress_)
             if (d.active || d.done) { busy = true; break; }
@@ -464,7 +485,7 @@ Fabric::tick_egress() {
         EgressDest& dest = egress_[d];
         // Nothing queued for this destination and its serializer is idle:
         // the per-RPU scan below cannot pick anything, skip it.
-        if (!compat && !dest.active && !dest.done && egress_pkts_dest_[d] == 0)
+        if (!dest.active && !dest.done && egress_pkts_dest_[d] == 0)
             continue;
 
         // Retry a cut-through handoff that found no downstream space.
@@ -562,21 +583,14 @@ Fabric::tick_loopback() {
 
 void
 Fabric::tick_mac_tx() {
-    const bool compat = kernel().commit_compat();
     for (unsigned port = 0; port < 2; ++port) {
         MacTx& mac = mac_tx_[port];
-        if (!compat && !mac.active && mac.fifo.empty()) continue;
+        if (!mac.active && mac.fifo.empty()) continue;
         if (mac.active) {
             if (mac.cycles_left > 0) --mac.cycles_left;
             if (mac.cycles_left > 0) continue;
-            if (compat) {
-                std::string pn = "port" + std::to_string(port);
-                stats_.counter(pn + ".tx_frames").add();
-                stats_.counter(pn + ".tx_bytes").add(mac.active->size());
-            } else {
-                ctr_tx_frames_[port]->add();
-                ctr_tx_bytes_[port]->add(mac.active->size());
-            }
+            ctr_tx_frames_[port]->add();
+            ctr_tx_bytes_[port]->add(mac.active->size());
             trace("mac_tx", *mac.active);
             if (mac.sink) mac.sink(mac.active);
             mac.active.reset();

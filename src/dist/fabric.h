@@ -124,6 +124,12 @@ class Fabric : public sim::Component {
 
     const FabricConfig& config() const { return config_; }
 
+    /// Test hook for the scan guards: recount the VOQ and egress packet
+    /// counters that let tick() skip empty scans by walking every queue.
+    /// Returns the first counter that disagrees with its recount, or ""
+    /// when all agree.
+    std::string scan_counter_mismatch() const;
+
  private:
     struct TimedPkt {
         net::PacketPtr pkt;
@@ -186,7 +192,6 @@ class Fabric : public sim::Component {
     void declare_netlist(sim::Kernel& kernel);
 
     FabricConfig config_;
-    sim::Stats& stats_;
     lb::LoadBalancer& lb_;
     std::vector<rpu::Rpu*> rpus_;
     unsigned rpus_per_cluster_;

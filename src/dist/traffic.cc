@@ -83,12 +83,10 @@ TrafficSource::on_wake(sim::Cycle n) {
     }
 }
 
-TrafficSink::TrafficSink(sim::Kernel& kernel, sim::Stats& stats, std::string name)
+TrafficSink::TrafficSink(sim::Kernel& kernel, sim::Stats& stats, const std::string& name)
     : kernel_(kernel),
-      stats_(stats),
-      name_(std::move(name)),
-      ctr_frames_(&stats.counter(name_ + ".frames")),
-      ctr_bytes_(&stats.counter(name_ + ".bytes")) {}
+      ctr_frames_(&stats.counter(name + ".frames")),
+      ctr_bytes_(&stats.counter(name + ".bytes")) {}
 
 void
 TrafficSink::deliver(const net::PacketPtr& pkt) {
@@ -97,13 +95,8 @@ TrafficSink::deliver(const net::PacketPtr& pkt) {
     ++window_frames_;
     window_bytes_ += pkt->size();
     latency_.add(kernel_.now_ns() - pkt->tx_ns);
-    if (kernel_.commit_compat()) {
-        stats_.counter(name_ + ".frames").add();
-        stats_.counter(name_ + ".bytes").add(pkt->size());
-    } else {
-        ctr_frames_->add();
-        ctr_bytes_->add(pkt->size());
-    }
+    ctr_frames_->add();
+    ctr_bytes_->add(pkt->size());
 }
 
 void

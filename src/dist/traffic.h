@@ -79,7 +79,7 @@ class TrafficSource : public sim::Component {
 /// Records what comes back to the tester.
 class TrafficSink {
  public:
-    TrafficSink(sim::Kernel& kernel, sim::Stats& stats, std::string name);
+    TrafficSink(sim::Kernel& kernel, sim::Stats& stats, const std::string& name);
 
     /// Wire as a Fabric MAC TX sink.
     void deliver(const net::PacketPtr& pkt);
@@ -99,8 +99,6 @@ class TrafficSink {
 
  private:
     sim::Kernel& kernel_;
-    sim::Stats& stats_;
-    std::string name_;
     sim::Counter* ctr_frames_;
     sim::Counter* ctr_bytes_;
     uint64_t frames_ = 0;

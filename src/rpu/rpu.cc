@@ -256,13 +256,8 @@ Rpu::finish_rx() {
         sim::panic(name() + ": rx descriptor fifo overflow");
     }
     trace("rpu_rx_complete", *pkt);
-    if (kernel().commit_compat()) {
-        stats_.counter(stat("rx_packets")).add();
-        stats_.counter(stat("rx_bytes")).add(pkt->size());
-    } else {
-        ctr_rx_packets_->add();
-        ctr_rx_bytes_->add(pkt->size());
-    }
+    ctr_rx_packets_->add();
+    ctr_rx_bytes_->add(pkt->size());
 }
 
 bool
@@ -363,20 +358,13 @@ Rpu::tick_tx() {
     if (tx_out_) {
         if (egress_ && egress_(tx_out_)) {
             uint8_t slot = tx_cur_->desc.slot;
-            if (kernel().commit_compat()) {
-                stats_.counter(stat("tx_packets")).add();
-                stats_.counter(stat("tx_bytes")).add(tx_out_->size());
-            } else {
-                ctr_tx_packets_->add();
-                ctr_tx_bytes_->add(tx_out_->size());
-            }
+            ctr_tx_packets_->add();
+            ctr_tx_bytes_->add(tx_out_->size());
             tx_out_.reset();
             tx_cur_.reset();
             slot_pkts_[slot].reset();
             --occupancy_;
             if (slot_free_) slot_free_(config_.id, slot);
-        } else if (kernel().commit_compat()) {
-            stats_.counter(stat("tx_stall_cycles")).add();
         } else {
             ctr_tx_stall_cycles_->add();
         }

@@ -96,7 +96,6 @@ Kernel::set_idle_skip(bool on) {
 
 void
 Kernel::sleep_sweep() {
-    const bool timed = timed_sleep_ && !commit_compat_;
     for (Component* c : components_) {
         if (!c->awake_) continue;
         // Just-woken components get one tick before they may sleep again.
@@ -105,7 +104,7 @@ Kernel::sleep_sweep() {
         if (!c->quiescent()) {
             // Timed sleep until the promise runs out. Short windows are
             // not worth the wake (sweeps run every 4th cycle anyway).
-            if (!timed || !c->self_advancing_) continue;
+            if (!timed_sleep_ || !c->self_advancing_) continue;
             const Cycle h = c->idle_horizon();
             if (h < kMinTimedSleep) continue;
             deadline = h >= kForever - now_ ? kForever : now_ + h;
@@ -208,24 +207,14 @@ Kernel::step() {
     }
     active_ = nullptr;
     for (Clocked* c : clocked_) c->commit();
-    if (commit_compat_) {
-        // The baseline-compat benchmark mode sweeps the whole lazy set for
-        // cost parity with the pre-fast-path kernel.
-        for (Clocked* c : lazy_clocked_) {
-            c->commit_queued_ = false;
-            c->commit();
-        }
-        commit_queue_.clear();
-    } else {
-        // Index loop: commits above (e.g. a component integrating staged
-        // input into one of its FIFOs) may append while we drain.
-        for (size_t i = 0; i < commit_queue_.size(); ++i) {
-            Clocked* c = commit_queue_[i];
-            c->commit_queued_ = false;
-            c->commit();
-        }
-        commit_queue_.clear();
+    // Index loop: commits above (e.g. a component integrating staged input
+    // into one of its FIFOs) may append while we drain.
+    for (size_t i = 0; i < commit_queue_.size(); ++i) {
+        Clocked* c = commit_queue_[i];
+        c->commit_queued_ = false;
+        c->commit();
     }
+    commit_queue_.clear();
     phase_ = Phase::kIdle;
     if (telemetry_) telemetry_->end_cycle(now_);
     if (health_probe_) health_probe_->on_cycle(now_);

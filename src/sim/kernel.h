@@ -20,16 +20,19 @@
 ///    netlist (nets + directed ports) that the static checker in
 ///    src/lint/ validates before cycle 0.
 ///
-/// Two execution regimes (DESIGN.md §11), bit-identical by test:
-///  * **Tuned** (the default) — only what can act is ticked. A component
-///    reporting `quiescent()` sleeps until a netlist wake edge (or an
-///    explicit `wake()`) delivers input; a self-advancing one (a paced
-///    traffic source) sleeps on a *timer* through the ticks it promised
-///    are pure time advance and replays them in on_wake(). While every
-///    component sleeps, run() jumps to the next timer, health-probe
-///    deadline or the run's end. Off while a TelemetrySink is attached.
-///  * **Commit-compat reference** — `set_commit_compat(true)`: the
-///    pre-fast-path per-cycle regime, for A/B benchmarking only.
+/// One execution regime (DESIGN.md §11): only what can act is ticked. A
+/// component reporting `quiescent()` sleeps until a netlist wake edge (or
+/// an explicit `wake()`) delivers input; a self-advancing one (a paced
+/// traffic source) sleeps on a *timer* through the ticks it promised are
+/// pure time advance and replays them in on_wake(). While every component
+/// sleeps, run() jumps to the next timer, health-probe deadline or the
+/// run's end. Skipping is off while a TelemetrySink is attached.
+///
+/// The eager switch, `set_idle_skip(false)` (CLI `--no-idle-skip`), ticks
+/// every component every cycle. It is the in-binary reference: the
+/// skipping kernel must match it bit for bit (tests and bench_simspeed
+/// compare fingerprints). Either way only the primitives that staged or
+/// popped this cycle commit (the lazy commit queue).
 ///
 /// The kernel is single-threaded: one host thread steps one kernel.
 
@@ -259,13 +262,10 @@ class Kernel {
     /// Register a non-component clocked element. A `lazy` element promises
     /// that commit() is the identity on cycles where it staged nothing and
     /// popped nothing; it is committed only when it called request_commit()
-    /// that cycle (Fifo and Reg qualify). Non-lazy elements commit every
-    /// cycle.
+    /// that cycle (Fifo and Reg qualify), so the kernel keeps no list of
+    /// them. Non-lazy elements commit every cycle.
     void add_clocked(Clocked* c, bool lazy = false) {
-        if (lazy)
-            lazy_clocked_.push_back(c);
-        else
-            clocked_.push_back(c);
+        if (!lazy) clocked_.push_back(c);
     }
 
     /// Queue a lazy clocked element for this cycle's clock edge. Idempotent
@@ -441,18 +441,6 @@ class Kernel {
     /// Earliest pending timer deadline (kForever: none; may be stale-low).
     Cycle next_timer() const { return next_deadline_; }
 
-    // --- baseline-compat (A/B benchmarking) -----------------------------------
-
-    /// Emulate the pre-fast-path kernel's per-cycle regime: every clocked
-    /// primitive commits every cycle (no lazy commit queue, no identity
-    /// early-outs), no component sleeps on a timer, and the datapath
-    /// components drop their occupancy-count scan guards. Results are
-    /// bit-identical either way — this exists so bench_simspeed can
-    /// measure the fast path against an honest reference inside one
-    /// binary. Off by default; never enable outside benchmarking.
-    void set_commit_compat(bool on) { commit_compat_ = on; }
-    bool commit_compat() const { return commit_compat_; }
-
     /// Reference-only: turn timed sleep off (on by default), restoring the
     /// regime bench_cluster keeps as its calibration reference. Results
     /// are bit-identical either way; armed timers still fire.
@@ -553,7 +541,6 @@ class Kernel {
 
     std::vector<Component*> components_;
     std::vector<Clocked*> clocked_;
-    std::vector<Clocked*> lazy_clocked_;
     std::vector<Clocked*> commit_queue_;
     Cycle now_ = 0;
 
@@ -565,7 +552,6 @@ class Kernel {
     uint64_t net_epoch_ = 0;
 
     bool idle_skip_ = true;
-    bool commit_compat_ = false;
     bool timed_sleep_ = true;
     size_t awake_count_ = 0;
     Cycle fast_forwarded_ = 0;

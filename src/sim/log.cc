@@ -11,7 +11,6 @@ void set_log_level(int level) { g_log_level = level; }
 
 void
 fatal(const std::string& msg) {
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw FatalError(msg);
 }
 

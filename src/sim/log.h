@@ -26,7 +26,9 @@ int log_level();
 void set_log_level(int level);
 
 /// The simulation cannot continue due to a user error (bad config,
-/// invalid arguments). Throws FatalError.
+/// invalid arguments). Throws FatalError without printing: a caller that
+/// expects the rejection stays quiet, and the uncaught boundary (e.g.
+/// rosebud_cli's main) prints the diagnostic once.
 [[noreturn]] void fatal(const std::string& msg);
 
 /// Internal invariant violated — a simulator bug. Aborts.

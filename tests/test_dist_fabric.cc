@@ -146,6 +146,41 @@ TEST(Fabric, LoopbackChannelCountsHeaderOverhead) {
     EXPECT_EQ(sys.sink(0).frames() + sys.sink(1).frames(), 10u);
 }
 
+// The fabric skips empty scans on per-RPU VOQ and per-destination egress
+// packet counters. A counter that misses a decrement would only waste scans,
+// and one that misses an increment could strand a packet, so recount every
+// queue after every cycle of a run that touches all of them: both ports, a
+// MAC RX overflow burst, host injection, and loopback relaying.
+TEST(Fabric, ScanGuardCountersMatchAFullScanEveryCycle) {
+    SystemConfig cfg;
+    cfg.rpu_count = 4;
+    cfg.fabric.mac_rx_fifo_bytes = 8192;
+    System sys(cfg);
+    auto fw = fwlib::two_step_forwarder(4);
+    sys.host().load_firmware_all(fw.image, fw.entry);
+    sys.host().boot_all();
+    sys.run_cycles(300);
+    sys.host().set_recv_mask(0x3);  // RPUs 0-1 relay to 2-3 over loopback
+
+    uint64_t id = 0;
+    for (unsigned port = 0; port < 2; ++port) {
+        sys.add_source({.port = port, .load = 0.5, .max_packets = 150},
+                       [&id] { return udp_pkt(256, id++); });
+    }
+    for (int cycle = 0; cycle < 30000; ++cycle) {
+        if (cycle == 2000) {
+            for (int i = 0; i < 24; ++i) sys.fabric().mac_rx(1, udp_pkt(1024, id++));
+        }
+        if (cycle % 1000 == 500) sys.fabric().host_inject(udp_pkt(128, id++));
+        sys.run_cycles(1);
+        ASSERT_EQ(sys.fabric().scan_counter_mismatch(), "") << "after cycle " << cycle;
+    }
+    EXPECT_GT(sys.stats().get("port1.rx_fifo_drops"), 0u);
+    EXPECT_GT(sys.stats().get("loopback.frames"), 200u);
+    EXPECT_GT(sys.sink(0).frames(), 100u);
+    EXPECT_GT(sys.sink(1).frames(), 100u);
+}
+
 TEST(Fabric, SwitchingResourcesMatchPaperRows) {
     SystemConfig cfg16, cfg8;
     cfg16.rpu_count = 16;

@@ -13,6 +13,7 @@
 #include "net/tracegen.h"
 #include "sim/fifo.h"
 #include "sim/kernel.h"
+#include "sim/log.h"
 #include "sim/random.h"
 #include "sim/resources.h"
 #include "sim/stats.h"
@@ -56,6 +57,14 @@ TEST(Kernel, RunUntilTimesOut) {
     bool fired = k.run_until([] { return false; }, 7);
     EXPECT_FALSE(fired);
     EXPECT_EQ(k.now(), 7u);
+}
+
+// A caller that expects the rejection (the config fuzzer, the CLI's
+// boundary) decides whether to print it: fatal itself stays silent.
+TEST(Log, FatalThrowsWithoutPrinting) {
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(rosebud::sim::fatal("x"), rosebud::sim::FatalError);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(Fifo, PushNotVisibleUntilCommit) {
@@ -390,8 +399,7 @@ TEST(Quiescence, RegisteredCreditPopWakesBlockedProducer) {
 
 enum class Sched {
     kSerial,        ///< default: idle skip + timed sleep + race check
-    kNoIdleSkip,    ///< every component ticked every cycle
-    kCommitCompat,  ///< benchmarking reference regime
+    kNoIdleSkip,    ///< eager: every component ticked every cycle
     kShuffled,      ///< permuted tick order
 };
 
@@ -405,9 +413,6 @@ run_sched_fingerprint(Sched s) {
             break;
         case Sched::kNoIdleSkip:
             sys.kernel().set_idle_skip(false);
-            break;
-        case Sched::kCommitCompat:
-            sys.kernel().set_commit_compat(true);
             break;
         case Sched::kShuffled:
             sys.kernel().shuffle_tick_order(0x5eedf00d);
@@ -437,10 +442,9 @@ TEST(ScheduleEquivalence, SerialAndShuffledAreBitIdentical) {
     EXPECT_EQ(run_sched_fingerprint(Sched::kShuffled), base);
 }
 
-TEST(ScheduleEquivalence, IdleSkipAndCommitCompatAreBitIdentical) {
+TEST(ScheduleEquivalence, SerialAndNoIdleSkipAreBitIdentical) {
     const uint64_t base = run_sched_fingerprint(Sched::kSerial);
     EXPECT_EQ(run_sched_fingerprint(Sched::kNoIdleSkip), base);
-    EXPECT_EQ(run_sched_fingerprint(Sched::kCommitCompat), base);
 }
 
 // --- timed sleep ----------------------------------------------------------------
